@@ -20,9 +20,10 @@ from scipy import stats
 
 from .bootsim import SimConfig, simulate_matrix
 from .errors import InsufficientDataError, RelateError
-from .mlsearch import MlFit, SearchConfig, ml_tree
+from .mlsearch import MlFit, SearchConfig, ml_tree, start_trees
 from .msa import CharacterMatrix
-from .phylik import write_newick
+from .phylik import Phylogeny, write_newick
+from .submodel import build_model
 
 logger = logging.getLogger(__name__)
 
@@ -153,6 +154,15 @@ class LrtReport:
         }
 
 
+def _same_trees(one: list[Phylogeny], two: list[Phylogeny]) -> bool:
+    """Equal node ids, lengths and leaf names, pairwise: the searches
+    started from them take identical steps."""
+    return len(one) == len(two) and all(
+        a.adjacency == b.adjacency and a.leaf_names == b.leaf_names
+        for a, b in zip(one, two)
+    )
+
+
 def run_lrt(
     matrix: CharacterMatrix,
     config: LrtConfig = LrtConfig(),
@@ -162,7 +172,9 @@ def run_lrt(
     """Run the full paired-bootstrap likelihood-ratio test.
 
     Run j reseeds the search with ``seed + j * RUN_SEED_STRIDE``, fits both
-    proportions to the data, simulates one replicate from the fitted null
+    proportions to the data (taking an earlier run's fits when its
+    neighbor-joining starts are the same, as the seed then changes
+    nothing), simulates one replicate from the fitted null
     (keeping the data's gap pattern), fits both proportions to it, and
     records both statistics. The decision is RELATED when the one-sided
     paired t-test rejects at ``alpha`` and the mean observed statistic is
@@ -171,19 +183,30 @@ def run_lrt(
     """
     if len(matrix.taxa) < 3:
         raise InsufficientDataError("the test needs at least 3 taxa")
+    data_fits: list[tuple[list[Phylogeny], tuple[MlFit, MlFit]]] = []
     runs = []
     for j in range(1, config.k + 1):
         seed_j = config.seed + j * RUN_SEED_STRIDE
         search_j = replace(config.search, seed=seed_j)
         try:
-            fit_null = ml_tree(
-                matrix, config.p_inv_null, search_j,
-                alphabet=alphabet, pseudocount=pseudocount,
+            # Start trees depend on the frequencies only, not on p_inv.
+            freq_model = build_model(matrix, pseudocount=pseudocount, alphabet=alphabet)
+            starts = start_trees(matrix, freq_model, search_j)
+            earlier = next(
+                (fits for trees, fits in data_fits if _same_trees(trees, starts)), None
             )
-            fit_alt = ml_tree(
-                matrix, config.p_inv_alt, search_j,
-                alphabet=alphabet, pseudocount=pseudocount,
-            )
+            if earlier is not None:
+                fit_null, fit_alt = (replace(fit, tree=fit.tree.copy()) for fit in earlier)
+            else:
+                fit_null = ml_tree(
+                    matrix, config.p_inv_null, search_j,
+                    alphabet=alphabet, pseudocount=pseudocount,
+                )
+                fit_alt = ml_tree(
+                    matrix, config.p_inv_alt, search_j,
+                    alphabet=alphabet, pseudocount=pseudocount,
+                )
+                data_fits.append((starts, (fit_null, fit_alt)))
             delta_observed = lrt_statistic(fit_alt, fit_null)
 
             replicate = simulate_matrix(fit_null, matrix, SimConfig(seed=seed_j))

@@ -6,7 +6,10 @@ nearest-neighbor interchanges, accepting the best strictly improving move
 per round. One-dimensional edge optimization exploits the closed-form
 transition probabilities: with everything else fixed, a site's variable
 component is affine in exp(-mu * rate * t), so candidate lengths cost only
-vector arithmetic after two pruning passes per edge.
+vector arithmetic once the partials on both sides of the edge are known.
+Those partials come from one :class:`phylik.PartialCache` per search,
+which each length change invalidates only outward of its edge and each
+NNI candidate inherits from the tree it was made from.
 
 Everything is deterministic for a fixed seed: neighbor joining breaks ties
 with a seeded draw, edges and moves are visited in sorted order, and ties
@@ -173,6 +176,17 @@ def init_tree(matrix: CharacterMatrix, model: SubstitutionModel, seed: int = 42)
     return neighbor_joining(model_distances(matrix, model), matrix.taxa, seed)
 
 
+def start_trees(
+    matrix: CharacterMatrix, model: SubstitutionModel, config: SearchConfig
+) -> list[Phylogeny]:
+    """Starting trees of the ``random_restarts`` searches of :func:`ml_tree`;
+    tie-breaking seeds count up from ``config.seed``."""
+    return [
+        init_tree(matrix, model, seed=config.seed + restart)
+        for restart in range(config.random_restarts)
+    ]
+
+
 def _optimize_edge(
     tree: Phylogeny,
     model: SubstitutionModel,
@@ -180,13 +194,17 @@ def _optimize_edge(
     u: int,
     v: int,
     tolerance: float,
+    cache: phylik.PartialCache | None = None,
 ) -> float:
     """Maximize the likelihood over one branch length in place.
 
     Returns the gain in log likelihood (never negative: the current length
-    is kept when the optimizer fails to beat it).
+    is kept when the optimizer fails to beat it). ``cache`` holds partials
+    of ``tree`` and is kept current with the new length.
     """
-    fn = phylik.edge_log_likelihood_fn(tree, model, prep, u, v)
+    if cache is None:
+        cache = phylik.PartialCache(tree, model, prep)
+    fn = phylik.edge_log_likelihood_fn(tree, model, prep, u, v, cache=cache)
     current = fn(tree.length(u, v))
     result = minimize_scalar(
         lambda t: -fn(t),
@@ -202,7 +220,7 @@ def _optimize_edge(
         if ll >= best_ll:
             best_t, best_ll = endpoint, ll
     if best_ll > current:
-        tree.set_length(u, v, best_t)
+        cache.set_length(u, v, best_t)
         return best_ll - current
     return 0.0
 
@@ -212,20 +230,27 @@ def optimize_branch_lengths(
     model: SubstitutionModel,
     source: CharacterMatrix | SitePrep,
     config: SearchConfig = SearchConfig(),
+    cache: phylik.PartialCache | None = None,
 ) -> tuple[Phylogeny, float]:
     """Sweep all edges with bounded one-dimensional optimization until a
     full sweep gains less than ``ll_tolerance``. Returns a new tree and its
-    log likelihood; the input tree is untouched."""
+    log likelihood; the input tree is untouched. A ``cache`` of the input
+    tree moves to the returned tree and is kept current with it."""
     prep = source if isinstance(source, SitePrep) else prepare_sites(model, source)
-    tree = tree.copy()
+    work = tree.copy()
+    if cache is None:
+        cache = phylik.PartialCache(work, model, prep)
+    else:
+        cache.check(tree, model, prep)
+        cache.moved_to(work)
     for _ in range(_MAX_SWEEPS):
         gain = 0.0
-        for u, v, _length in tree.edges():
-            gain += _optimize_edge(tree, model, prep, u, v, config.bl_tolerance)
+        for u, v, _length in work.edges():
+            gain += _optimize_edge(work, model, prep, u, v, config.bl_tolerance, cache)
         if gain < config.ll_tolerance:
             break
-    ll = float(phylik.site_log_likelihoods(tree, model, prep).sum())
-    return tree, ll
+    ll = float(phylik.site_log_likelihoods(work, model, prep, cache=cache).sum())
+    return work, ll
 
 
 def _apply_nni(tree: Phylogeny, u: int, x: int, v: int, y: int):
@@ -264,28 +289,34 @@ def nni_search(
     branch lengths. Stops when no move improves, or at ``max_nni_rounds``.
     """
     prep = source if isinstance(source, SitePrep) else prepare_sites(model, source)
-    tree, ll = optimize_branch_lengths(start, model, prep, config)
+    cache = phylik.PartialCache(start, model, prep)
+    tree, ll = optimize_branch_lengths(start, model, prep, config, cache=cache)
     trace = [(0, ll)]
     for round_no in range(1, config.max_nni_rounds + 1):
         best_ll = ll
-        best_tree = None
+        best_tree = best_cache = None
         for _edge_index, u, x, v, y in _nni_candidates(tree):
             candidate = tree.copy()
             _apply_nni(candidate, u, x, v, y)
+            cand_cache = cache.after_nni(candidate, u, x, v, y)
             local = [(u, v)]
             local += [(u, n) for n in candidate.neighbors(u) if n != v]
             local += [(v, n) for n in candidate.neighbors(v) if n != u]
             for a, b in local:
-                _optimize_edge(candidate, model, prep, a, b, config.bl_tolerance)
-            cand_ll = float(phylik.site_log_likelihoods(candidate, model, prep).sum())
+                _optimize_edge(candidate, model, prep, a, b, config.bl_tolerance, cand_cache)
+            cand_ll = float(
+                phylik.site_log_likelihoods(candidate, model, prep, cache=cand_cache).sum()
+            )
             if cand_ll > best_ll:
                 best_ll = cand_ll
-                best_tree = candidate
+                best_tree, best_cache = candidate, cand_cache
         if best_tree is None:
             break
-        tree, ll = optimize_branch_lengths(best_tree, model, prep, config)
+        tree, ll = optimize_branch_lengths(best_tree, model, prep, config, cache=best_cache)
+        cache = best_cache
         if ll < best_ll:
             tree, ll = best_tree, best_ll
+            cache = phylik.PartialCache(tree, model, prep)
         trace.append((round_no, ll))
     return MlFit(tree=tree, model=model, log_likelihood=ll, search_trace=tuple(trace))
 
@@ -304,7 +335,9 @@ def ml_tree(
 
     Runs ``random_restarts`` searches from neighbor-joining starts whose
     tie-breaking seeds increase by one, and returns the best fit (first one
-    on ties). Two-taxon matrices return the single-edge tree directly.
+    on ties). Two-taxon matrices return the single-edge tree directly. The
+    seed acts only through the starts (see :func:`start_trees`): calls
+    whose starts are equal return equal fits.
     """
     if len(matrix.taxa) < 2:
         raise InsufficientDataError("tree inference needs at least 2 taxa")
@@ -319,8 +352,7 @@ def ml_tree(
     )
     prep = prepare_sites(model, matrix)
     best: MlFit | None = None
-    for restart in range(config.random_restarts):
-        start = init_tree(matrix, model, seed=config.seed + restart)
+    for start in start_trees(matrix, model, config):
         fit = nni_search(start, model, prep, config)
         if best is None or fit.log_likelihood > best.log_likelihood:
             best = fit
@@ -354,10 +386,11 @@ def ml_tree_estimated(
             pseudocount=pseudocount, alphabet=alphabet,
         )
         prep = prepare_sites(fit.model, matrix)
+        # Only the invariant mixture depends on p_inv: prune once per round.
+        var_logs = phylik.PartialCache(fit.tree, fit.model, prep).variable_site_logs()
 
         def p_objective(q: float) -> float:
-            model = fit.model.with_p_inv(q)
-            return -float(phylik.site_log_likelihoods(fit.tree, model, prep).sum())
+            return -float(phylik._mix_invariant(var_logs, prep.log_inv, q).sum())
 
         result = minimize_scalar(
             p_objective, bounds=(0.0, 0.5), method="bounded",

@@ -11,6 +11,17 @@ an invariant component (weight ``p_inv``) and the variable component
 averaged over the model's rate categories; the invariant component of a
 site is the stationary probability of its shared state when the non-gap
 cells agree and zero otherwise.
+
+Every likelihood goes through a :class:`PartialCache` of directional
+partials: entry (node, toward) is the partial of node's side of edge
+(node, toward), per rate category. Entries are filled on demand, children
+first, and kept across calls, so a branch-length sweep recomputes only
+what its own changes invalidate. Setting the length of edge (u, v) drops
+exactly the entries that point away from that edge (their side contains
+it); those pointing toward it stay. A nearest-neighbor interchange across
+(u, v) keeps every entry pointing toward (u, v), re-targeting the two
+whose side is a moved subtree. Functions that take no cache start a fresh
+one.
 """
 
 from __future__ import annotations
@@ -503,74 +514,160 @@ def _leaf_partial(model: SubstitutionModel, codes_row: np.ndarray) -> np.ndarray
     return ((codes_row[None, :] == states) | (codes_row[None, :] < 0)).astype(float)
 
 
-def _root_partial(
-    tree: Phylogeny,
-    model: SubstitutionModel,
-    codes: np.ndarray,
-    row_of: dict[int, int],
-    root: int,
-    rate: float,
-    block: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled partial likelihoods at ``root`` and the per-site log scale.
+class PartialCache:
+    """Directional partial likelihoods of one tree, model and matrix.
 
-    ``block`` hides one neighbor of ``root``, which evaluates the partial of
-    the component on ``root``'s side of that edge.
+    Entry (node, toward) is, per rate category, the scaled partial
+    likelihood of the component on ``node``'s side of edge (node, toward)
+    together with its per-site log scale. It is computed from the entries
+    (child, node) of node's other neighbors, which are filled first, and
+    kept until a change of the tree invalidates it. Entries are only ever
+    replaced, never written into, so copies may share them.
+
+    The cache follows ``tree`` only through :meth:`set_length` and
+    :meth:`after_nni`; changing the tree any other way leaves it stale.
     """
-    order = []
-    stack = [(root, block)]
-    while stack:
-        node, parent = stack.pop()
-        order.append((node, parent))
-        for nbr in tree.neighbors(node):
-            if nbr != parent:
-                stack.append((nbr, node))
 
-    n_sites = codes.shape[1]
-    partial: dict[int, np.ndarray] = {}
-    scale_log: dict[int, np.ndarray] = {}
-    for node, parent in reversed(order):
-        children = [nbr for nbr in tree.neighbors(node) if nbr != parent]
-        if tree.is_leaf(node):
-            value = _leaf_partial(model, codes[row_of[node]])
+    def __init__(
+        self,
+        tree: Phylogeny,
+        model: SubstitutionModel,
+        prep: SitePrep,
+        rates: tuple[float, ...] | None = None,
+    ):
+        _check_taxa(tree, prep)
+        self.tree = tree
+        self.model = model
+        self.prep = prep
+        self.rates = model.rates if rates is None else tuple(rates)
+        row = {name: i for i, name in enumerate(prep.taxa)}
+        self._row_of = {node: row[name] for node, name in tree.leaf_names.items()}
+        self._entries: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray]]] = {}
+
+    def check(self, tree: Phylogeny, model: SubstitutionModel, prep: SitePrep):
+        """Raise ValueError unless the cache holds partials of exactly these."""
+        if tree is not self.tree or model is not self.model or prep is not self.prep:
+            raise ValueError("cache belongs to another tree, model or matrix")
+
+    def partial(self, node: int, toward: int | None = None):
+        """Per rate, (scaled partial, log scale) of ``node``'s side of edge
+        (node, toward); with ``toward`` None, of the whole tree at ``node``."""
+        entry = self._entries.get((node, toward))
+        if entry is not None:
+            return entry
+        # Fill every missing entry below ``node`` leaves first, iteratively
+        # so that tree depth is not bounded by the interpreter's stack.
+        order = []
+        stack = [(child, node) for child in self.tree.adjacency[node] if child != toward]
+        while stack:
+            child, parent = stack.pop()
+            if (child, parent) in self._entries:
+                continue
+            order.append((child, parent))
+            stack.extend((nbr, child) for nbr in self.tree.adjacency[child] if nbr != parent)
+        for child, parent in reversed(order):
+            self._entries[(child, parent)] = self._combine(child, parent)
+        entry = self._combine(node, toward)
+        if toward is not None:
+            self._entries[(node, toward)] = entry
+        return entry
+
+    def _combine(self, node: int, block: int | None):
+        tree, model = self.tree, self.model
+        children = [nbr for nbr in tree.neighbors(node) if nbr != block]
+        n_sites = self.prep.codes.shape[1]
+        out = []
+        for k, rate in enumerate(self.rates):
+            if tree.is_leaf(node):
+                value = _leaf_partial(model, self.prep.codes[self._row_of[node]])
+            else:
+                value = np.ones((model.n_states, n_sites))
             logs = np.zeros(n_sites)
-        else:
-            value = np.ones((model.n_states, n_sites))
-            logs = np.zeros(n_sites)
-        for child in children:
-            p = transition_prob(model, tree.length(node, child), rate)
-            value = value * (p @ partial.pop(child))
-            logs = logs + scale_log.pop(child)
-        if children:
-            peak = value.max(axis=0)
-            if not np.all(peak > 0):
-                site = int(np.nonzero(peak <= 0)[0][0])
-                raise NumericalUnderflowError(
-                    f"partial likelihood underflowed at site {site}"
-                )
-            value = value / peak
-            logs = logs + np.log(peak)
-        partial[node] = value
-        scale_log[node] = logs
-    return partial[root], scale_log[root]
+            for child in children:
+                child_value, child_logs = self._entries[(child, node)][k]
+                p = transition_prob(model, tree.length(node, child), rate)
+                value = value * (p @ child_value)
+                logs = logs + child_logs
+            if children:
+                peak = value.max(axis=0)
+                if not np.all(peak > 0):
+                    site = int(np.nonzero(peak <= 0)[0][0])
+                    raise NumericalUnderflowError(
+                        f"partial likelihood underflowed at site {site}"
+                    )
+                value = value / peak
+                logs = logs + np.log(peak)
+            out.append((value, logs))
+        return out
+
+    def _drop_outward(self, node: int, away_from: int):
+        """Drop the entries that point away from edge (node, away_from) on
+        ``node``'s side. A missing entry ends the walk along its branch:
+        every entry further out was built from it, so none is cached."""
+        stack = [(node, away_from)]
+        while stack:
+            node, parent = stack.pop()
+            for nbr in self.tree.adjacency[node]:
+                if nbr != parent and self._entries.pop((node, nbr), None) is not None:
+                    stack.append((nbr, node))
+
+    def set_length(self, u: int, v: int, value: float):
+        """Set the length of edge (u, v) in the tree and drop the entries
+        whose side contains that edge."""
+        self.tree.set_length(u, v, value)
+        self._drop_outward(u, v)
+        self._drop_outward(v, u)
+
+    def after_nni(self, tree: Phylogeny, u: int, x: int, v: int, y: int) -> "PartialCache":
+        """Cache of ``tree``, which is this cache's tree with subtree x
+        (attached to u) and subtree y (attached to v) exchanged.
+
+        Entries pointing toward edge (u, v) keep their values; the two
+        whose side is a moved subtree change only their target. The copy
+        shares entries with this cache, which stays valid for its tree.
+        """
+        dup = object.__new__(PartialCache)
+        dup.__dict__.update(self.__dict__)
+        dup._entries = dict(self._entries)
+        dup._drop_outward(u, v)
+        dup._drop_outward(v, u)
+        dup._entries.pop((u, v), None)
+        dup._entries.pop((v, u), None)
+        moved_x = dup._entries.pop((x, u), None)
+        moved_y = dup._entries.pop((y, v), None)
+        if moved_x is not None:
+            dup._entries[(x, v)] = moved_x
+        if moved_y is not None:
+            dup._entries[(y, u)] = moved_y
+        dup.tree = tree
+        return dup
+
+    def moved_to(self, tree: Phylogeny):
+        """Follow ``tree``, an unmodified copy of this cache's tree."""
+        self.tree = tree
+
+    def variable_site_logs(self, root: int | None = None) -> np.ndarray:
+        """Log likelihood of each site's variable component, per rate
+        category, at ``root`` (by default the tree's default root)."""
+        if root is None:
+            root = _default_root(self.tree)
+        out = np.empty((len(self.rates), self.prep.codes.shape[1]))
+        for k, (value, logs) in enumerate(self.partial(root)):
+            with np.errstate(divide="ignore"):
+                out[k] = np.log(self.model.freqs @ value) + logs
+        return out
 
 
-def _variable_site_logs(
+def _cache_for(
     tree: Phylogeny,
     model: SubstitutionModel,
     prep: SitePrep,
-    root: int,
-) -> np.ndarray:
-    """Log likelihood of each site's variable component, per rate category."""
-    row_of = {
-        node: prep.taxa.index(name) for node, name in tree.leaf_names.items()
-    }
-    out = np.empty((len(model.rates), prep.codes.shape[1]))
-    for k, rate in enumerate(model.rates):
-        value, logs = _root_partial(tree, model, prep.codes, row_of, root, rate)
-        with np.errstate(divide="ignore"):
-            out[k] = np.log(model.freqs @ value) + logs
-    return out
+    cache: PartialCache | None,
+) -> PartialCache:
+    if cache is None:
+        return PartialCache(tree, model, prep)
+    cache.check(tree, model, prep)
+    return cache
 
 
 def _logmeanexp(rows: np.ndarray) -> np.ndarray:
@@ -602,17 +699,17 @@ def site_log_likelihoods(
     model: SubstitutionModel,
     source: CharacterMatrix | SitePrep,
     root: int | None = None,
+    cache: PartialCache | None = None,
 ) -> np.ndarray:
     """Per-site log likelihood of the invariant/variable mixture.
 
     The virtual root is arbitrary; ``root`` exists so tests can verify
-    root-placement invariance.
+    root-placement invariance. ``cache`` holds partials of ``tree`` under
+    ``model`` and ``source`` (a :class:`SitePrep`) to reuse and extend.
     """
     prep = source if isinstance(source, SitePrep) else prepare_sites(model, source)
-    _check_taxa(tree, prep)
-    if root is None:
-        root = _default_root(tree)
-    var_logs = _variable_site_logs(tree, model, prep, root)
+    cache = _cache_for(tree, model, prep, cache)
+    var_logs = cache.variable_site_logs(root)
     return _mix_invariant(var_logs, prep.log_inv, model.p_inv)
 
 
@@ -639,11 +736,13 @@ def site_conditionals(
     """Unscaled per-state conditional likelihoods of one site at the
     default virtual root (variable component, one rate)."""
     prep = prepare_sites(model, matrix)
-    _check_taxa(tree, prep)
-    root = _default_root(tree)
-    row_of = {node: prep.taxa.index(n) for node, n in tree.leaf_names.items()}
-    codes = prep.codes[:, site : site + 1]
-    value, logs = _root_partial(tree, model, codes, row_of, root, rate)
+    one_site = SitePrep(
+        taxa=prep.taxa,
+        codes=prep.codes[:, site : site + 1],
+        log_inv=prep.log_inv[site : site + 1],
+    )
+    cache = PartialCache(tree, model, one_site, rates=(rate,))
+    ((value, logs),) = cache.partial(_default_root(tree))
     return value[:, 0] * np.exp(logs[0])
 
 
@@ -653,22 +752,23 @@ def edge_log_likelihood_fn(
     prep: SitePrep,
     u: int,
     v: int,
+    cache: PartialCache | None = None,
 ):
     """Total log likelihood as a function of the length of edge (u, v).
 
     Along one edge the variable component of a site is affine in
-    x = exp(-mu * rate * t), so the expensive pruning passes happen once
-    here and each candidate length costs only vector arithmetic. The other
-    branch lengths are taken as they currently stand.
+    x = exp(-mu * rate * t), so the partials on both sides of the edge are
+    looked up (or filled) in ``cache`` once here and each candidate length
+    costs only vector arithmetic. The other branch lengths are taken as
+    they currently stand.
     """
     if v not in tree.adjacency[u]:
         raise KeyError(f"no edge ({u}, {v})")
-    row_of = {node: prep.taxa.index(n) for node, n in tree.leaf_names.items()}
+    cache = _cache_for(tree, model, prep, cache)
     freqs = model.freqs
     terms = []
-    for rate in model.rates:
-        side_u, logs_u = _root_partial(tree, model, prep.codes, row_of, u, rate, block=v)
-        side_v, logs_v = _root_partial(tree, model, prep.codes, row_of, v, rate, block=u)
+    sides = zip(model.rates, cache.partial(u, v), cache.partial(v, u))
+    for rate, (side_u, logs_u), (side_v, logs_v) in sides:
         stationary = (freqs @ side_u) * (freqs @ side_v)
         joint = (freqs[:, None] * side_u * side_v).sum(axis=0)
         terms.append((stationary, joint - stationary, logs_u + logs_v, model.mu * rate))

@@ -103,17 +103,17 @@ def enumeration_log_likelihoods(adjacency, leaf_symbols, states, freqs,
             else:
                 free.append(node)
 
+        # Column c of ``grid`` is the c-th assignment of states to the free
+        # nodes; every assignment is scored at once.
+        grid = np.indices((len(pi),) * len(free)).reshape(len(free), len(pi) ** len(free))
+        assign = {node: grid[i] for i, node in enumerate(free)}
+        assign.update({node: np.full(grid.shape[1], s) for node, s in fixed.items()})
         per_rate = []
         for rate in rates:
-            total = 0.0
-            for combo in itertools.product(range(len(pi)), repeat=len(free)):
-                assign = dict(zip(free, combo))
-                assign.update(fixed)
-                term = pi[assign[root]]
-                for u, v, _ in order:
-                    term *= trans[rate][(u, v)][assign[u], assign[v]]
-                total += term
-            per_rate.append(total)
+            term = pi[assign[root]]
+            for u, v, _ in order:
+                term = term * trans[rate][(u, v)][assign[u], assign[v]]
+            per_rate.append(float(term.sum()))
         variable = float(np.mean(per_rate))
 
         present = [leaf_symbols[n][site] for n in leaf_symbols

@@ -1,8 +1,11 @@
 """Likelihood-ratio statistic, paired t-test, and the bootstrap test loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import relate.lrt
 from helpers import random_freq_model
 from oracles import t_upper_tail
 from relate.errors import InsufficientDataError
@@ -17,9 +20,10 @@ from relate.lrt import (
     run_lrt,
 )
 from relate.bootsim import simulate_sites
-from relate.mlsearch import SearchConfig
+from relate.mlsearch import SearchConfig, ml_tree, start_trees
 from relate.msa import CharacterMatrix
-from relate.phylik import parse_newick
+from relate.phylik import parse_newick, write_newick
+from relate.submodel import build_model
 
 
 def fit_with_ll(ll: float) -> MlFit:
@@ -104,8 +108,12 @@ class TestLrtConfig:
             LrtConfig(alpha=1.0)
 
 
-def small_matrix(seed: int = 0, n_sites: int = 60) -> CharacterMatrix:
-    tree = parse_newick("((A:0.3,B:0.3):0.2,(C:0.3,D:0.3):0.2);")
+def small_matrix(
+    seed: int = 0,
+    n_sites: int = 60,
+    newick: str = "((A:0.3,B:0.3):0.2,(C:0.3,D:0.3):0.2);",
+) -> CharacterMatrix:
+    tree = parse_newick(newick)
     model = random_freq_model(4, seed=seed, p_inv=0.1)
     states = simulate_sites(tree, model, n_sites, np.random.default_rng(seed))
     symbols = np.array(model.alphabet)
@@ -159,3 +167,59 @@ class TestRunLrt:
         for run in payload["runs"]:
             assert run["delta_obs"] == pytest.approx(
                 2 * (run["log_likelihood_alt"] - run["log_likelihood_null"]))
+
+
+class TestDataFitReuse:
+    """Run j's data fits depend on its seed only through the
+    neighbor-joining starts, so equal starts share one pair of fits."""
+
+    config = LrtConfig(k=3, seed=5, search=SearchConfig(max_nni_rounds=5))
+
+    def counted_run(self, matrix, monkeypatch):
+        data_calls = []
+        real = relate.lrt.ml_tree
+
+        def counting(m, *args, **kwargs):
+            data_calls.append(m is matrix)
+            return real(m, *args, **kwargs)
+
+        monkeypatch.setattr(relate.lrt, "ml_tree", counting)
+        report = run_lrt(matrix, self.config)
+        return report, data_calls.count(True), data_calls.count(False)
+
+    def distinct_starts(self, matrix) -> int:
+        model = build_model(matrix, pseudocount=0.5)
+        seen = []
+        for run in range(1, self.config.k + 1):
+            search = replace(self.config.search, seed=self.config.seed + run * RUN_SEED_STRIDE)
+            trees = [t.adjacency for t in start_trees(matrix, model, search)]
+            if trees not in seen:
+                seen.append(trees)
+        return len(seen)
+
+    def test_matrix_without_nj_ties_is_fitted_once(self, monkeypatch):
+        matrix = small_matrix(
+            seed=3, n_sites=80,
+            newick="((A:0.3,B:0.2):0.2,((C:0.3,D:0.4):0.1,E:0.5):0.2,F:0.3);")
+        assert self.distinct_starts(matrix) == 1
+        report, data_fits, replicate_fits = self.counted_run(matrix, monkeypatch)
+        assert data_fits == 2
+        assert replicate_fits == 2 * self.config.k
+        assert len({run.delta_observed for run in report.runs}) == 1
+        trees = [run.fit_null.tree for run in report.runs]
+        assert len({id(tree) for tree in trees}) == self.config.k
+        # A reused fit is what refitting with that run's seed gives.
+        last = report.runs[-1]
+        search = replace(self.config.search, seed=last.seed)
+        refit = ml_tree(matrix, self.config.p_inv_alt, search)
+        assert refit.log_likelihood == last.fit_alt.log_likelihood
+        assert write_newick(refit.tree) == write_newick(last.fit_alt.tree)
+
+    def test_nj_ties_refit_each_distinct_start(self, monkeypatch):
+        # Four taxa always tie in neighbor joining: complementary pairs
+        # have equal Q values.
+        matrix = small_matrix(seed=0)
+        distinct = self.distinct_starts(matrix)
+        assert 1 < distinct < self.config.k
+        _, data_fits, _ = self.counted_run(matrix, monkeypatch)
+        assert data_fits == 2 * distinct

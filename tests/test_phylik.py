@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import leaf_symbol_map, matrix_from_rows, random_matrix
+from helpers import leaf_symbol_map, matrix_from_rows, random_freq_model, random_matrix
 from relate.errors import (
     NumericalUnderflowError,
     ParseError,
     SchemaError,
     TaxaMismatchError,
 )
+from relate.mlsearch import _apply_nni
 from relate.msa import CharacterMatrix
 from relate.phylik import (
     DEFAULT_BRANCH_LENGTH,
+    PartialCache,
     Phylogeny,
+    edge_log_likelihood_fn,
     parse_newick,
     prepare_sites,
     random_tree,
@@ -302,3 +305,97 @@ class TestSiteConditionals:
         vec = site_conditionals(tree, model, matrix, site=0)
         direct = site_log_likelihoods(tree, model, matrix)[0]
         assert np.log(float(model.freqs @ vec)) == pytest.approx(direct)
+
+
+def assert_matches_fresh_copy(tree, model, prep, cache):
+    """Every edge closure and the whole-tree likelihood read through
+    ``cache`` equal a from-scratch evaluation on a copy of the tree."""
+    fresh = tree.copy()
+    got = site_log_likelihoods(tree, model, prep, cache=cache)
+    want = site_log_likelihoods(fresh, model, prep)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    for u, v, length in tree.edges():
+        got_fn = edge_log_likelihood_fn(tree, model, prep, u, v, cache=cache)
+        want_fn = edge_log_likelihood_fn(fresh, model, prep, u, v)
+        for t in (length, 1e-6, 0.3, 4.0):
+            np.testing.assert_allclose(got_fn(t), want_fn(t), rtol=1e-12, atol=0.0)
+
+
+class TestPartialCache:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_length_changes_and_nni_moves_stay_coherent(self, seed):
+        rng = np.random.default_rng(seed)
+        n_taxa = int(rng.integers(8, 13))
+        matrix = random_matrix(n_taxa, 40, "ABCD", seed=seed, gap_rate=0.1)
+        tree = random_tree(matrix.taxa, seed=seed)
+        model = random_freq_model(
+            4, seed=seed, p_inv=0.15, gamma_shape=0.7, n_rate_cats=2)
+        prep = prepare_sites(model, matrix)
+        cache = PartialCache(tree, model, prep)
+        for step in range(12):
+            if step % 3 == 2:
+                internal = tree.internal_edges()
+                u, v = internal[rng.integers(len(internal))]
+                x = int(rng.choice([n for n in tree.neighbors(u) if n != v]))
+                y = int(rng.choice([n for n in tree.neighbors(v) if n != u]))
+                candidate = tree.copy()
+                _apply_nni(candidate, u, x, v, y)
+                before = site_log_likelihoods(tree, model, prep, cache=cache)
+                moved = cache.after_nni(candidate, u, x, v, y)
+                # The source cache stays valid for the tree it came from.
+                np.testing.assert_array_equal(
+                    site_log_likelihoods(tree, model, prep, cache=cache), before)
+                tree, cache = candidate, moved
+            else:
+                u, v, _ = tree.edges()[rng.integers(len(tree.edges()))]
+                cache.set_length(u, v, float(rng.uniform(1e-6, 1.5)))
+            assert_matches_fresh_copy(tree, model, prep, cache)
+
+    def test_partial_fill_before_a_move_stays_coherent(self):
+        matrix = random_matrix(9, 30, "ABC", seed=8, gap_rate=0.05)
+        tree = random_tree(matrix.taxa, seed=8)
+        model = random_freq_model(3, seed=8, p_inv=0.1, gamma_shape=1.3, n_rate_cats=2)
+        prep = prepare_sites(model, matrix)
+        cache = PartialCache(tree, model, prep)
+        # Only the entries toward one edge exist when its neighbor moves.
+        (u, v), *_ = tree.internal_edges()
+        edge_log_likelihood_fn(tree, model, prep, u, v, cache=cache)
+        w = next(n for n in tree.neighbors(u) if n != v)
+        cache.set_length(u, w, 0.9)
+        assert_matches_fresh_copy(tree, model, prep, cache)
+
+    def test_cache_of_another_tree_is_rejected(self):
+        matrix = random_matrix(5, 10, "ABC", seed=1)
+        tree = random_tree(matrix.taxa, seed=1)
+        model = small_model()
+        prep = prepare_sites(model, matrix)
+        cache = PartialCache(tree, model, prep)
+        with pytest.raises(ValueError):
+            site_log_likelihoods(tree.copy(), model, prep, cache=cache)
+
+    def test_deep_caterpillar_evaluates_without_recursion(self):
+        # Leaves 0..n-1 hang off a path of n - 2 internal nodes, so the
+        # tree is about as deep as it has leaves.
+        n = 1500
+        spine = list(range(n, 2 * n - 2))
+        adjacency = {node: {} for node in range(2 * n - 2)}
+
+        def join(a, b, length=0.05):
+            adjacency[a][b] = adjacency[b][a] = length
+
+        for a, b in zip(spine, spine[1:]):
+            join(a, b)
+        join(0, spine[0])
+        join(1, spine[0])
+        for leaf in range(2, n - 2):
+            join(leaf, spine[leaf - 1])
+        join(n - 2, spine[-1])
+        join(n - 1, spine[-1])
+        matrix = random_matrix(n, 3, "ABC", seed=4, gap_rate=0.2)
+        tree = Phylogeny(adjacency, dict(enumerate(matrix.taxa)))
+        model = small_model(p_inv=0.05)
+        prep = prepare_sites(model, matrix)
+        cache = PartialCache(tree, model, prep)
+        assert np.all(np.isfinite(site_log_likelihoods(tree, model, prep, cache=cache)))
+        fn = edge_log_likelihood_fn(tree, model, prep, n - 1, spine[-1], cache=cache)
+        assert np.isfinite(fn(0.1))

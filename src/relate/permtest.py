@@ -113,8 +113,8 @@ def load_external_table(source: IO | bytes | str) -> dict[tuple[str, str, str, s
             dist = float(row[idx["DIST"]].strip())
         except ValueError:
             raise ParseError("DIST must be a number", line=lineno) from None
-        if dist < 0:
-            raise ParseError("DIST must be non-negative", line=lineno)
+        if not 0.0 <= dist < float("inf"):
+            raise ParseError("DIST must be finite and non-negative", line=lineno)
         table[(la, wa, lb, wb)] = dist
         table[(lb, wb, la, wa)] = dist
     return table
@@ -142,6 +142,15 @@ _NO_WORD = -9
 _EMPTY = -1
 _NO_SECOND = -1
 
+#: Replicates drawn and scored together. Chunks bound the memory of the
+#: stacked slot arrays; results do not depend on the size.
+_CHUNK = 128
+
+
+def _chunk_sizes(n_perm: int):
+    """Replicate counts of the chunks that make up ``n_perm`` replicates."""
+    return [min(_CHUNK, n_perm - start) for start in range(0, n_perm, _CHUNK)]
+
 
 class _Engine:
     """Per-wordlist caches that make permutation batches cheap.
@@ -149,7 +158,11 @@ class _Engine:
     Every language gets an integer array over concepts pointing into its
     word list (``_NO_WORD`` marks empty slots); metric-specific arrays over
     words make a pair distance a handful of vectorized comparisons.
-    Permutations shuffle the pointer arrays, never the caches.
+    Permutations shuffle the pointer arrays, never the caches. Slot arrays
+    are stacked over replicates, shape (replicates, concepts), so one call
+    draws or scores a whole chunk of replicates; the observed arrangement
+    is a batch of one. Every replicate is computed with the same arithmetic
+    as on its own, so a seed gives the same results for any chunking.
     """
 
     def __init__(self, metric: WordMetric, wl: Wordlist, alphabet: ClassAlphabet | None):
@@ -167,6 +180,7 @@ class _Engine:
                 )
 
         self.slot_word: dict[str, np.ndarray] = {}
+        self.attested: dict[str, np.ndarray] = {}
         self.forms: dict[str, list[str]] = {}
         self.first: dict[str, np.ndarray] = {}
         self.second: dict[str, np.ndarray] = {}
@@ -197,6 +211,7 @@ class _Engine:
                         class_index[seq[1]] if len(seq) > 1 else _NO_SECOND
                     )
             self.slot_word[language] = pointers
+            self.attested[language] = np.flatnonzero(pointers != _NO_WORD)
             self.forms[language] = forms
             self.first[language] = np.asarray(firsts, dtype=np.int64)
             self.second[language] = np.asarray(seconds, dtype=np.int64)
@@ -235,32 +250,43 @@ class _Engine:
         lang_b: str,
         slots_a: np.ndarray | None = None,
         slots_b: np.ndarray | None = None,
-    ) -> float:
-        wa = self.slot_word[lang_a] if slots_a is None else slots_a
-        wb = self.slot_word[lang_b] if slots_b is None else slots_b
-        shared = (wa != _NO_WORD) & (wb != _NO_WORD)
+    ) -> np.ndarray:
+        """Distance of two languages in every replicate of stacked slots.
+
+        Without slot arrays, the observed arrangement as a batch of one.
+        Shuffles keep each language's attested concepts, so the shared
+        concepts, and their count, are the same in every replicate.
+        """
+        base_a, base_b = self.slot_word[lang_a], self.slot_word[lang_b]
+        shared = (base_a != _NO_WORD) & (base_b != _NO_WORD)
         n = int(shared.sum())
         if n == 0:
             raise DistanceUndefinedError(
                 f"{lang_a!r} and {lang_b!r} share no attested concepts"
             )
-        ia, ib = wa[shared], wb[shared]
+        wa = base_a[np.newaxis] if slots_a is None else slots_a
+        wb = base_b[np.newaxis] if slots_b is None else slots_b
+        ia, ib = wa[:, shared], wb[:, shared]
         if self.metric.name == EXTERNAL:
-            values = self._external_matrix(lang_a, lang_b)[ia, ib]
-            return float(values.mean())
+            # The gathered block may come out column-major; each row must
+            # be summed along contiguous memory to add its values in the
+            # order a one-dimensional mean would.
+            values = np.ascontiguousarray(self._external_matrix(lang_a, lang_b)[ia, ib])
+            return values.mean(axis=1)
         fa, fb = self.first[lang_a][ia], self.first[lang_b][ib]
         if self.metric.name == P1_DOLGO:
-            return float(np.mean(fa != fb))
+            return np.count_nonzero(fa != fb, axis=1) / n
         sa, sb = self.second[lang_a][ia], self.second[lang_b][ib]
         equal = (fa == fb) & ((sa == sb) | (sa == _NO_SECOND) | (sb == _NO_SECOND))
-        return float(1.0 - np.mean(equal))
+        return 1.0 - np.count_nonzero(equal, axis=1) / n
 
     def cluster_distance(
         self,
         cluster_a,
         cluster_b,
         slots: dict[str, np.ndarray] | None = None,
-    ) -> float:
+    ) -> np.ndarray:
+        """Mean language distance over cross-cluster pairs, per replicate."""
         total = 0.0
         for lang_a in cluster_a:
             for lang_b in cluster_b:
@@ -273,14 +299,28 @@ class _Engine:
         return total / (len(cluster_a) * len(cluster_b))
 
     def permuted_slots(
-        self, languages, rng: np.random.Generator
+        self, languages, rng: np.random.Generator, replicates: int = 1
     ) -> dict[str, np.ndarray]:
-        """Shuffle each language's words across its attested slots."""
+        """Shuffle each language's words across its attested slots.
+
+        Returns one row per replicate. Draws go replicate by replicate and,
+        within one, language by language in sorted order, so the stream
+        does not depend on how replicates are chunked. A language's
+        pointers over its attested slots are ``0..m-1``, so shuffling a
+        fresh ``0..m-1`` draws the same stream as shuffling the pointers.
+        """
+        languages = sorted(languages)
+        draws = [
+            np.tile(np.arange(len(self.attested[language])), (replicates, 1))
+            for language in languages
+        ]
+        for r in range(replicates):
+            for rows in draws:
+                rng.shuffle(rows[r])
         out = {}
-        for language in sorted(languages):
-            pointers = self.slot_word[language].copy()
-            attested = np.nonzero(pointers != _NO_WORD)[0]
-            pointers[attested] = rng.permutation(pointers[attested])
+        for language, rows in zip(languages, draws):
+            pointers = np.full((replicates, len(self.concepts)), _NO_WORD, dtype=np.int64)
+            pointers[:, self.attested[language]] = rows
             out[language] = pointers
         return out
 
@@ -305,7 +345,7 @@ def language_distance(
 ) -> float:
     """Mean word distance over the concepts both languages attest."""
     _check_clusters(wl, [lang_a], [lang_b])
-    return _Engine(metric, wl, alphabet).language_distance(lang_a, lang_b)
+    return float(_Engine(metric, wl, alphabet).language_distance(lang_a, lang_b)[0])
 
 
 def cluster_distance(
@@ -315,11 +355,15 @@ def cluster_distance(
     cluster_b,
     alphabet: ClassAlphabet | None = None,
 ) -> float:
-    """Mean language distance over all cross-cluster pairs."""
+    """Mean language distance over all cross-cluster pairs.
+
+    Pairs are added in sorted cluster order. A merge height of
+    :func:`run_permtest` is the mean of the same distances added in another
+    order, so the two can differ in the last bit.
+    """
     _check_clusters(wl, cluster_a, cluster_b)
-    return _Engine(metric, wl, alphabet).cluster_distance(
-        sorted(cluster_a), sorted(cluster_b)
-    )
+    engine = _Engine(metric, wl, alphabet)
+    return float(engine.cluster_distance(sorted(cluster_a), sorted(cluster_b))[0])
 
 
 class PermutationResult(NamedTuple):
@@ -337,13 +381,15 @@ def _significance(
     seed: int,
 ) -> tuple[float, PermutationResult]:
     cluster_a, cluster_b = sorted(cluster_a), sorted(cluster_b)
-    observed = engine.cluster_distance(cluster_a, cluster_b)
+    observed = float(engine.cluster_distance(cluster_a, cluster_b)[0])
     rng = np.random.default_rng(seed)
     union = cluster_a + cluster_b
-    draws = np.empty(n_perm)
-    for i in range(n_perm):
-        slots = engine.permuted_slots(union, rng)
-        draws[i] = engine.cluster_distance(cluster_a, cluster_b, slots)
+    draws = np.concatenate([
+        engine.cluster_distance(
+            cluster_a, cluster_b, engine.permuted_slots(union, rng, count)
+        )
+        for count in _chunk_sizes(n_perm)
+    ])
     expected = float(draws.mean())
     p_value = (int(np.count_nonzero(draws <= observed)) + 1) / (n_perm + 1)
     degenerate = expected == 0.0
@@ -439,11 +485,13 @@ def _pair_matrix(
     languages: list[str],
     slots: dict[str, np.ndarray] | None = None,
 ) -> np.ndarray:
-    out = np.zeros((len(languages), len(languages)))
+    """Language distance matrices, shape (replicates, languages, languages)."""
+    replicates = 1 if slots is None else len(slots[languages[0]])
+    out = np.zeros((replicates, len(languages), len(languages)))
     for i, lang_a in enumerate(languages):
         for j in range(i + 1, len(languages)):
             lang_b = languages[j]
-            out[i, j] = out[j, i] = engine.language_distance(
+            out[:, i, j] = out[:, j, i] = engine.language_distance(
                 lang_a,
                 lang_b,
                 None if slots is None else slots[lang_a],
@@ -457,27 +505,38 @@ def _agglomerate(
 ) -> list[tuple[tuple[str, ...], tuple[str, ...], float]]:
     """Average-linkage merge sequence over a language distance matrix.
 
-    Candidate distances are recomputed from the base matrix as the mean
-    over all cross-language pairs, so heights match ``cluster_distance``
-    exactly rather than drifting through incremental linkage updates.
+    A candidate's height is the mean of the base matrix over all its
+    cross-language pairs, taken over the block with the older cluster's
+    languages as rows and the newer cluster's as columns, rather than an
+    incremental linkage update that drifts with every merge. A cluster's
+    languages never change, so each candidate's ``(height, pair)`` key is
+    computed once, when the newer cluster forms, and dropped when either
+    side merges: a merge adds only the new cluster's blocks.
     """
-    index = {lang: k for k, lang in enumerate(languages)}
     clusters = [(lang,) for lang in languages]
-    rows = {cluster: [index[cluster[0]]] for cluster in clusters}
+    rows = {cluster: np.array([k]) for k, cluster in enumerate(clusters)}
+    pair_values = base.tolist()
+    candidates = [
+        (pair_values[i][j], tuple(sorted((clusters[i], clusters[j]))))
+        for i in range(len(clusters))
+        for j in range(i + 1, len(clusters))
+    ]
     stages = []
     while len(clusters) > 1:
-        best = None
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                block = base[np.ix_(rows[clusters[i]], rows[clusters[j]])]
-                key = (float(block.mean()), tuple(sorted((clusters[i], clusters[j]))))
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-        (distance, (left, right)), i, j = best
+        distance, (left, right) = min(candidates)
         stages.append((left, right, distance))
         merged = tuple(sorted(left + right))
-        rows[merged] = sorted(rows[clusters[i]] + rows[clusters[j]])
-        clusters = [c for k, c in enumerate(clusters) if k not in (i, j)]
+        rows[merged] = np.sort(np.concatenate((rows[left], rows[right])))
+        clusters = [c for c in clusters if c != left and c != right]
+        candidates = [
+            key for key in candidates if left not in key[1] and right not in key[1]
+        ]
+        for older in clusters:
+            # base[np.ix_(rows[older], rows[merged])], summed and divided
+            # as block.mean() does, without the wrappers' overhead.
+            block = base[rows[older][:, np.newaxis], rows[merged]]
+            height = float(np.add.reduce(block, axis=None) / block.size)
+            candidates.append((height, tuple(sorted((older, merged)))))
         clusters.append(merged)
     return stages
 
@@ -500,6 +559,10 @@ def run_permtest(
     that held the observed pair fixed would ignore that agglomeration
     deliberately picks similar clusters and would push root p-values
     toward 1 even on random data.
+
+    Replicates are drawn and scored in chunks, all replicates of a chunk
+    at once; each is still clustered on its own, and a given seed gives the
+    same draws and heights as scoring one replicate at a time.
     """
     if n_perm < 1:
         raise ValueError("need at least one permutation")
@@ -507,13 +570,17 @@ def run_permtest(
         raise InsufficientDataError("clustering needs at least 2 languages")
     engine = _Engine(metric, wl, alphabet)
     languages = sorted(wl.languages)
-    observed = _agglomerate(_pair_matrix(engine, languages), languages)
+    observed = _agglomerate(_pair_matrix(engine, languages)[0], languages)
     rng = np.random.default_rng(seed)
-    heights = np.empty((n_perm, len(observed)))
-    for r in range(n_perm):
-        slots = engine.permuted_slots(languages, rng)
-        stages = _agglomerate(_pair_matrix(engine, languages, slots), languages)
-        heights[r] = [h for _, _, h in stages]
+    heights = []
+    for count in _chunk_sizes(n_perm):
+        # No chunk's slots are held while the next chunk is drawn.
+        bases = _pair_matrix(
+            engine, languages, engine.permuted_slots(languages, rng, count)
+        )
+        for base in bases:
+            heights.append([h for _, _, h in _agglomerate(base, languages)])
+    heights = np.array(heights)
     merges: list[Merge] = []
     for k, (left, right, distance) in enumerate(observed):
         draws = heights[:, k]
@@ -551,6 +618,8 @@ def pairwise_significance(
     alphabet: ClassAlphabet | None = None,
 ) -> list[dict]:
     """Permutation statistics for every language pair, as TSV-ready rows."""
+    if n_perm < 1:
+        raise ValueError("need at least one permutation")
     engine = _Engine(metric, wl, alphabet)
     rows = []
     pair_no = 0

@@ -298,3 +298,124 @@ def upgma_merge_heights(dist: np.ndarray, names) -> list[tuple[frozenset, float]
         sizes[next_id] = size_new
         next_id += 1
     return merges
+
+
+# -- permutation test, one replicate at a time --------------------------------
+#
+# ``slots`` maps each language to an integer array over concepts holding the
+# index of the word filling the slot (words numbered 0.. in concept order)
+# or -1 for an empty slot. ``tables[a, b][i, j]`` is the distance between
+# word i of a and word j of b; with ``complement`` the tables hold word
+# agreements instead and a language distance is one minus their mean.
+
+def _reference_shuffle(slots, languages, rng):
+    out = {}
+    for language in sorted(languages):
+        pointers = slots[language].copy()
+        attested = np.nonzero(pointers >= 0)[0]
+        pointers[attested] = rng.permutation(pointers[attested])
+        out[language] = pointers
+    return out
+
+
+def reference_language_distance(tables, a, b, slots, complement=False):
+    """Mean word distance of a and b over the concepts both attest."""
+    wa, wb = slots[a], slots[b]
+    shared = (wa >= 0) & (wb >= 0)
+    mean = tables[a, b][wa[shared], wb[shared]].mean()
+    return float(1.0 - mean) if complement else float(mean)
+
+
+def _reference_cluster_distance(tables, cluster_a, cluster_b, slots, complement):
+    total = 0.0
+    for a in cluster_a:
+        for b in cluster_b:
+            total += reference_language_distance(tables, a, b, slots, complement)
+    return total / (len(cluster_a) * len(cluster_b))
+
+
+def _reference_statistics(draws, observed):
+    expected = float(draws.mean())
+    p_value = (int(np.count_nonzero(draws <= observed)) + 1) / (len(draws) + 1)
+    s_hat = 0.0 if expected == 0.0 else (expected - observed) / expected
+    return float(s_hat), float(p_value), expected, expected == 0.0
+
+
+def reference_significance(slots, tables, cluster_a, cluster_b, n_perm, seed,
+                           complement=False):
+    """Observed cluster distance and (s_hat, p, expected, degenerate)."""
+    cluster_a, cluster_b = sorted(cluster_a), sorted(cluster_b)
+    observed = _reference_cluster_distance(tables, cluster_a, cluster_b, slots,
+                                           complement)
+    rng = np.random.default_rng(seed)
+    draws = np.empty(n_perm)
+    for r in range(n_perm):
+        shuffled = _reference_shuffle(slots, cluster_a + cluster_b, rng)
+        draws[r] = _reference_cluster_distance(tables, cluster_a, cluster_b,
+                                               shuffled, complement)
+    return observed, _reference_statistics(draws, observed)
+
+
+def reference_pairwise(slots, tables, languages, n_perm, seed, stride,
+                       complement=False):
+    """(a, b, observed, s_hat, p) for every pair in ``languages`` order,
+    the k-th pair drawing from seed ``seed + k * stride``."""
+    rows = []
+    pairs = [(a, b) for i, a in enumerate(languages) for b in languages[i + 1:]]
+    for k, (a, b) in enumerate(pairs, start=1):
+        observed, (s_hat, p_value, _, _) = reference_significance(
+            slots, tables, [a], [b], n_perm, seed + k * stride, complement)
+        rows.append((a, b, observed, s_hat, p_value))
+    return rows
+
+
+def reference_agglomerate(base: np.ndarray, languages):
+    """Average linkage that recomputes every candidate block at every step."""
+    index = {lang: k for k, lang in enumerate(languages)}
+    clusters = [(lang,) for lang in languages]
+    rows = {cluster: [index[cluster[0]]] for cluster in clusters}
+    stages = []
+    while len(clusters) > 1:
+        best = None
+        for i in range(len(clusters)):
+            for j in range(i + 1, len(clusters)):
+                block = base[np.ix_(rows[clusters[i]], rows[clusters[j]])]
+                key = (float(block.mean()), tuple(sorted((clusters[i], clusters[j]))))
+                if best is None or key < best[0]:
+                    best = (key, i, j)
+        (distance, (left, right)), i, j = best
+        stages.append((left, right, distance))
+        merged = tuple(sorted(left + right))
+        rows[merged] = sorted(rows[clusters[i]] + rows[clusters[j]])
+        clusters = [c for k, c in enumerate(clusters) if k not in (i, j)]
+        clusters.append(merged)
+    return stages
+
+
+def _reference_pair_matrix(tables, languages, slots, complement):
+    out = np.zeros((len(languages), len(languages)))
+    for i, a in enumerate(languages):
+        for j in range(i + 1, len(languages)):
+            out[i, j] = out[j, i] = reference_language_distance(
+                tables, a, languages[j], slots, complement)
+    return out
+
+
+def reference_merge_tree(slots, tables, n_perm, seed, complement=False):
+    """(left, right, distance, s_hat, p, degenerate) for every merge."""
+    languages = sorted(slots)
+    observed = reference_agglomerate(
+        _reference_pair_matrix(tables, languages, slots, complement), languages)
+    rng = np.random.default_rng(seed)
+    heights = np.empty((n_perm, len(observed)))
+    for r in range(n_perm):
+        shuffled = _reference_shuffle(slots, languages, rng)
+        stages = reference_agglomerate(
+            _reference_pair_matrix(tables, languages, shuffled, complement),
+            languages)
+        heights[r] = [h for _, _, h in stages]
+    merges = []
+    for k, (left, right, distance) in enumerate(observed):
+        s_hat, p_value, _, degenerate = _reference_statistics(heights[:, k], distance)
+        merges.append((left, right, distance, s_hat, p_value, degenerate))
+    return merges

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from helpers import related_wordlist_rows, wordlist_text
-from oracles import upgma_merge_heights
+from oracles import (
+    reference_agglomerate,
+    reference_language_distance,
+    reference_merge_tree,
+    reference_pairwise,
+    reference_significance,
+    upgma_merge_heights,
+)
 from relate.errors import (
     DistanceUndefinedError,
     EmptyInputError,
@@ -15,9 +22,15 @@ from relate.errors import (
 )
 from relate.lexdata import parse_wordlist
 from relate.permtest import (
+    EXTERNAL,
     NOT_SUPPORTED,
+    PAIR_SEED_STRIDE,
     RELATED,
+    TURCHIN,
     WordMetric,
+    _agglomerate,
+    _CHUNK,
+    _Engine,
     cluster_distance,
     language_distance,
     load_external_table,
@@ -26,7 +39,7 @@ from relate.permtest import (
     run_permtest,
     word_distance,
 )
-from relate.soundclass import default_alphabet, encode_form
+from relate.soundclass import default_alphabet, encode_form, encode_segments
 
 
 def make_wordlist(*rows):
@@ -394,6 +407,9 @@ class TestExternalMetric:
             load_external_table(self.table_text([("A", "ka", "B", "ko", "x")]))
         with pytest.raises(ParseError):
             load_external_table(self.table_text([("A", "ka", "B", "ko", -1.0)]))
+        for value in ("nan", "inf"):
+            with pytest.raises(ParseError):
+                load_external_table(self.table_text([("A", "ka", "B", "ko", value)]))
 
 
 class TestPairwiseSignificance:
@@ -414,3 +430,201 @@ class TestPairwiseSignificance:
         one = pairwise_significance(WordMetric.turchin(), wl, n_perm=25, seed=3)
         two = pairwise_significance(WordMetric.turchin(), wl, n_perm=25, seed=3)
         assert one == two
+
+    def test_needs_at_least_one_permutation(self):
+        wl = make_wordlist(("A", "c1", "ka"), ("B", "c1", "po"))
+        with pytest.raises(ValueError):
+            pairwise_significance(WordMetric.p1_dolgo(), wl, n_perm=0)
+
+
+def oracle_inputs(metric, wl):
+    """Slots and word tables for the one-replicate-at-a-time oracles.
+
+    Word tables come from the public word rule (agreements for TURCHIN,
+    whose language distance is one minus their mean) or the external table.
+    """
+    alphabet = default_alphabet()
+    by_slot = wl.entries_by_slot()
+    slots, words = {}, {}
+    for language in wl.languages:
+        pointers = np.full(len(wl.concepts), -1)
+        entries = []
+        for c, concept in enumerate(wl.concepts):
+            found = by_slot.get((language, concept))
+            if found:
+                pointers[c] = len(entries)
+                entries.append(found[0])
+        slots[language], words[language] = pointers, entries
+
+    def encode(entry):
+        if entry.segments is not None:
+            return encode_segments(entry.segments, alphabet, form=entry.form)
+        return encode_form(entry.form, alphabet)
+
+    codes = {lang: [encode(e) for e in entries] for lang, entries in words.items()}
+    tables = {}
+    for a in wl.languages:
+        for b in wl.languages:
+            if a == b:
+                continue
+            if metric.name == EXTERNAL:
+                table = [[metric.external_table[a, x.form, b, y.form] for y in words[b]]
+                         for x in words[a]]
+            else:
+                table = [[word_distance(metric, x, y) for y in codes[b]] for x in codes[a]]
+            tables[a, b] = np.array(table)
+            if metric.name == TURCHIN:
+                tables[a, b] = 1.0 - tables[a, b]
+    return slots, tables, metric.name == TURCHIN
+
+
+def gapped_wordlist():
+    """Six languages over 24 concepts with about a sixth of the slots empty."""
+    rng = np.random.default_rng(21)
+    rows = related_wordlist_rows(6, 24, seed=11, mutation=0.5)
+    return make_wordlist(*[row for row in rows if rng.random() >= 0.17])
+
+
+def external_metric(wl, seed=5):
+    """A random distance for every cross-language word pair."""
+    rng = np.random.default_rng(seed)
+    forms = {lang: [e.form for e in wl.entries if e.language == lang]
+             for lang in wl.languages}
+    table = {}
+    for i, a in enumerate(wl.languages):
+        for b in wl.languages[i + 1:]:
+            for x in forms[a]:
+                for y in forms[b]:
+                    table[a, x, b, y] = table[b, y, a, x] = float(rng.random())
+    return WordMetric.external(table)
+
+
+def three_metrics(wl):
+    return [WordMetric.p1_dolgo(), WordMetric.turchin(), external_metric(wl)]
+
+
+def merge_rows(tree):
+    return [(m.left, m.right, m.distance, m.s_hat, m.p_value, m.degenerate)
+            for m in tree.merges]
+
+
+#: One replicate, a chunk short by one, and two chunks and three replicates.
+N_PERMS = (1, _CHUNK - 1, 2 * _CHUNK + 3)
+
+
+class TestChunkedReplicatesMatchOneAtATime:
+    """Chunked draws, distances and merges are bit-identical to a loop over
+    replicates that recomputes every candidate at every merge."""
+
+    @pytest.mark.parametrize("metric_no", range(3))
+    @pytest.mark.parametrize("n_perm", N_PERMS)
+    def test_merge_tree(self, metric_no, n_perm):
+        wl = gapped_wordlist()
+        metric = three_metrics(wl)[metric_no]
+        slots, tables, complement = oracle_inputs(metric, wl)
+        tree = run_permtest(metric, wl, n_perm=n_perm, seed=17)
+        assert merge_rows(tree) == reference_merge_tree(
+            slots, tables, n_perm, 17, complement)
+
+    @pytest.mark.parametrize("metric_no", range(3))
+    @pytest.mark.parametrize("n_perm", N_PERMS)
+    def test_pairwise_rows(self, metric_no, n_perm):
+        wl = gapped_wordlist()
+        metric = three_metrics(wl)[metric_no]
+        slots, tables, complement = oracle_inputs(metric, wl)
+        rows = pairwise_significance(metric, wl, n_perm=n_perm, seed=4)
+        got = [(r["LANG_A"], r["LANG_B"], r["DIST"], r["S_HAT"], r["P"]) for r in rows]
+        assert got == reference_pairwise(
+            slots, tables, wl.languages, n_perm, 4, PAIR_SEED_STRIDE, complement)
+
+    @pytest.mark.parametrize("metric_no", range(3))
+    def test_cluster_pair(self, metric_no):
+        wl = gapped_wordlist()
+        metric = three_metrics(wl)[metric_no]
+        slots, tables, complement = oracle_inputs(metric, wl)
+        langs = sorted(wl.languages)
+        result = permutation_significance(
+            metric, wl, langs[3:], langs[:2], n_perm=_CHUNK + 1, seed=8)
+        _, (s_hat, p_value, expected, degenerate) = reference_significance(
+            slots, tables, langs[3:], langs[:2], _CHUNK + 1, 8, complement)
+        assert tuple(result) == (s_hat, p_value, expected, degenerate)
+
+    @pytest.mark.parametrize("metric_no", range(3))
+    def test_stacked_distances_match_each_replicate(self, metric_no):
+        # With more than one replicate the gathered (replicates, concepts)
+        # block of table values comes out column-major, and summing it that
+        # way changes the last bits of some means. Distinct random values
+        # over at least 9 shared concepts make any other order show.
+        wl = gapped_wordlist()
+        metric = three_metrics(wl)[metric_no]
+        slots, tables, complement = oracle_inputs(metric, wl)
+        engine = _Engine(metric, wl, None)
+        stacked = engine.permuted_slots(wl.languages, np.random.default_rng(1), _CHUNK)
+        for i, a in enumerate(wl.languages):
+            for b in wl.languages[i + 1:]:
+                assert np.count_nonzero((slots[a] >= 0) & (slots[b] >= 0)) >= 9
+                got = engine.language_distance(a, b, stacked[a], stacked[b])
+                want = [
+                    reference_language_distance(
+                        tables, a, b, {a: stacked[a][r], b: stacked[b][r]}, complement)
+                    for r in range(_CHUNK)
+                ]
+                assert got.tolist() == want
+
+    @pytest.mark.parametrize("metric", [WordMetric.p1_dolgo(), WordMetric.turchin()])
+    def test_exact_ties(self, metric):
+        # A and B share every word, as do C and D, so the first two merges
+        # tie at height 0; over eight concepts replicate distances are
+        # multiples of 1/8 and tie all the time.
+        rows = []
+        for i, (ab, cd) in enumerate(zip("kptsmnlr", "kpbdmgzr")):
+            for lang, word in (("A", ab), ("B", ab), ("C", cd), ("D", cd)):
+                rows.append((lang, f"c{i}", word + "a" + "tkpsmnrl"[i]))
+        rows.append(("E", "c0", "ka"))
+        rows += [("E", f"c{i}", "sumo") for i in range(1, 8)]
+        wl = make_wordlist(*rows)
+        slots, tables, complement = oracle_inputs(metric, wl)
+        tree = run_permtest(metric, wl, n_perm=_CHUNK + 5, seed=2)
+        assert tree.merges[0].distance == tree.merges[1].distance == 0.0
+        assert merge_rows(tree) == reference_merge_tree(
+            slots, tables, _CHUNK + 5, 2, complement)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_agglomeration_of_random_matrices(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 10))
+        if seed % 2:
+            values = rng.integers(0, 4, size=(n, n)) / 7  # many exact ties
+        else:
+            values = rng.random((n, n))
+        base = np.triu(values, 1) + np.triu(values, 1).T
+        languages = [f"L{k}" for k in range(n)]
+        assert _agglomerate(base, languages) == reference_agglomerate(base, languages)
+
+
+class TestMergeHeights:
+    @pytest.mark.parametrize("metric_no", range(3))
+    def test_heights_are_block_means_of_language_distances(self, metric_no):
+        # A merge height is the mean over the block of language distances
+        # with the older cluster's languages as rows and the newer one's as
+        # columns (singletons are oldest, in name order). cluster_distance
+        # adds the same values in another order, so it can differ in the
+        # last bits, but never by more.
+        wl = gapped_wordlist()
+        metric = three_metrics(wl)[metric_no]
+        tree = run_permtest(metric, wl, n_perm=1, seed=0)
+        names = sorted(wl.languages)
+        dist = np.zeros((len(names), len(names)))
+        for i, a in enumerate(names):
+            for j, b in enumerate(names):
+                if i != j:
+                    dist[i, j] = language_distance(metric, wl, a, b)
+        born = {(name,): k for k, name in enumerate(names)}
+        for step, merge in enumerate(tree.merges):
+            older, newer = sorted((merge.left, merge.right), key=born.get)
+            block = dist[np.ix_([names.index(x) for x in older],
+                                [names.index(x) for x in newer])]
+            assert merge.distance == float(block.mean())
+            assert merge.distance == pytest.approx(
+                cluster_distance(metric, wl, merge.left, merge.right), rel=1e-14)
+            born[tuple(sorted(merge.left + merge.right))] = len(names) + step

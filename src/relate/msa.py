@@ -1,17 +1,21 @@
 """Alignment of consonant-class sequences and the concatenated matrix.
 
-Each concept's words are aligned progressively: pairwise scores feed an
-average-linkage guide tree, profiles are merged bottom-up with an affine-gap
-dynamic program, and the per-concept alignments are concatenated into one
-character matrix whose columns are the sites of the phylogenetic model.
-All tie-breaking is fixed (diagonal over up over left in the dynamic
-program, lowest index pair in the guide tree) so the output is a pure
-function of the input.
+Each concept's words are aligned progressively. The guide tree comes from
+average linkage on pairwise distances, whose affine-gap scores are computed
+score-only for all word pairs of the concept at once: one dynamic program
+over padded integer codes, vectorised across pairs, each pair's score read
+at its own corner. Profiles are then merged bottom-up with a traced
+affine-gap dynamic program, and the per-concept alignments are
+concatenated into one character matrix whose columns are the sites of the
+phylogenetic model. All tie-breaking is fixed (diagonal over up over left
+in the dynamic program, lowest index pair in the guide tree) so the output
+is a pure function of the input.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -35,7 +39,9 @@ _NEG_INF = float("-inf")
 @dataclass(frozen=True)
 class AlignScoring:
     """Affine-gap scoring. The first symbol of a gap run costs ``gap_open``,
-    every further symbol ``gap_extend``."""
+    every further symbol ``gap_extend``. All four scores must be finite,
+    ``match`` positive and above ``mismatch``, and the gap penalties not
+    positive; anything else raises ``ValueError``."""
 
     match: float = 2.0
     mismatch: float = -1.0
@@ -43,6 +49,11 @@ class AlignScoring:
     gap_extend: float = -2.0
 
     def __post_init__(self):
+        scores = (self.match, self.mismatch, self.gap_open, self.gap_extend)
+        if not all(math.isfinite(value) for value in scores):
+            raise ValueError(f"alignment scores must be finite: {self}")
+        if self.match <= 0:
+            raise ValueError("match score must be positive")
         if self.match <= self.mismatch:
             raise ValueError("match score must exceed mismatch score")
         if self.gap_open > 0 or self.gap_extend > 0:
@@ -70,22 +81,22 @@ def _gotoh(
     if n_b == 0:
         return [(i, None) for i in range(n_a)], open_ + ext * (n_a - 1)
 
-    shape = (n_a + 1, n_b + 1)
-    m_mat = np.full(shape, _NEG_INF)
-    x_mat = np.full(shape, _NEG_INF)
-    y_mat = np.full(shape, _NEG_INF)
-    # Predecessor state per cell: 0 = M, 1 = X, 2 = Y.
-    m_ptr = np.zeros(shape, dtype=np.int8)
-    x_ptr = np.zeros(shape, dtype=np.int8)
-    y_ptr = np.zeros(shape, dtype=np.int8)
+    # Nested lists: reading and writing numpy scalars cell by cell costs more
+    # than the arithmetic. Predecessor state per cell: 0 = M, 1 = X, 2 = Y.
+    m_mat = [[_NEG_INF] * (n_b + 1) for _ in range(n_a + 1)]
+    x_mat = [[_NEG_INF] * (n_b + 1) for _ in range(n_a + 1)]
+    y_mat = [[_NEG_INF] * (n_b + 1) for _ in range(n_a + 1)]
+    m_ptr = [[0] * (n_b + 1) for _ in range(n_a + 1)]
+    x_ptr = [[0] * (n_b + 1) for _ in range(n_a + 1)]
+    y_ptr = [[0] * (n_b + 1) for _ in range(n_a + 1)]
 
-    m_mat[0, 0] = 0.0
+    m_mat[0][0] = 0.0
     for i in range(1, n_a + 1):
-        x_mat[i, 0] = open_ + ext * (i - 1)
-        x_ptr[i, 0] = 1 if i > 1 else 0
+        x_mat[i][0] = float(open_ + ext * (i - 1))
+        x_ptr[i][0] = 1 if i > 1 else 0
     for j in range(1, n_b + 1):
-        y_mat[0, j] = open_ + ext * (j - 1)
-        y_ptr[0, j] = 2 if j > 1 else 0
+        y_mat[0][j] = float(open_ + ext * (j - 1))
+        y_ptr[0][j] = 2 if j > 1 else 0
 
     def argbest(m: float, x: float, y: float) -> tuple[float, int]:
         if m >= x and m >= y:
@@ -95,42 +106,34 @@ def _gotoh(
         return y, 2
 
     for i in range(1, n_a + 1):
+        m_up, x_up, y_up = m_mat[i - 1], x_mat[i - 1], y_mat[i - 1]
+        m_row, x_row, y_row = m_mat[i], x_mat[i], y_mat[i]
+        m_from, x_from, y_from = m_ptr[i], x_ptr[i], y_ptr[i]
         for j in range(1, n_b + 1):
-            best, state = argbest(
-                m_mat[i - 1, j - 1], x_mat[i - 1, j - 1], y_mat[i - 1, j - 1]
+            best, m_from[j] = argbest(m_up[j - 1], x_up[j - 1], y_up[j - 1])
+            m_row[j] = best + column_score(i - 1, j - 1)
+            x_row[j], x_from[j] = argbest(
+                m_up[j] + open_, x_up[j] + ext, y_up[j] + open_
             )
-            m_mat[i, j] = best + column_score(i - 1, j - 1)
-            m_ptr[i, j] = state
-            best, state = argbest(
-                m_mat[i - 1, j] + open_,
-                x_mat[i - 1, j] + ext,
-                y_mat[i - 1, j] + open_,
+            y_row[j], y_from[j] = argbest(
+                m_row[j - 1] + open_, x_row[j - 1] + open_, y_row[j - 1] + ext
             )
-            x_mat[i, j] = best
-            x_ptr[i, j] = state
-            best, state = argbest(
-                m_mat[i, j - 1] + open_,
-                x_mat[i, j - 1] + open_,
-                y_mat[i, j - 1] + ext,
-            )
-            y_mat[i, j] = best
-            y_ptr[i, j] = state
 
-    score, state = argbest(m_mat[n_a, n_b], x_mat[n_a, n_b], y_mat[n_a, n_b])
+    score, state = argbest(m_mat[n_a][n_b], x_mat[n_a][n_b], y_mat[n_a][n_b])
     pairs: list[tuple[int | None, int | None]] = []
     i, j = n_a, n_b
     while i > 0 or j > 0:
         if state == 0:
             pairs.append((i - 1, j - 1))
-            state = m_ptr[i, j]
+            state = m_ptr[i][j]
             i, j = i - 1, j - 1
         elif state == 1:
             pairs.append((i - 1, None))
-            state = x_ptr[i, j]
+            state = x_ptr[i][j]
             i -= 1
         else:
             pairs.append((None, j - 1))
-            state = y_ptr[i, j]
+            state = y_ptr[i][j]
             j -= 1
     pairs.reverse()
     return pairs, float(score)
@@ -155,44 +158,114 @@ def pairwise_align(
     return out_a, out_b, score
 
 
-def _pair_symbol_score(x: str, y: str, scoring: AlignScoring) -> float:
-    if x == GAP and y == GAP:
-        return 0.0
-    if x == GAP or y == GAP:
-        return scoring.gap_extend
-    return scoring.match if x == y else scoring.mismatch
+def _pair_scores(words: Sequence[np.ndarray], scoring: AlignScoring) -> np.ndarray:
+    """Optimal affine-gap scores of every word pair (a, b), a < b, in
+    ``np.triu_indices`` order; ``words`` are integer-coded.
+
+    One score-only dynamic program runs for all pairs at once over the words
+    padded to the longest one, and each pair's score is read at its own
+    (len_a, len_b) corner. A cell depends only on cells above and to its left,
+    so padding never reaches a corner, and each cell takes the maximum of the
+    same sums as :func:`_gotoh`: the scores equal :func:`pairwise_align`'s.
+    """
+    open_, ext = scoring.gap_open, scoring.gap_extend
+    lengths = np.array([len(w) for w in words])
+    width = int(lengths.max())
+    codes = np.full((len(words), width), -1)
+    for r, word in enumerate(words):
+        codes[r, : len(word)] = word
+    ia, ib = np.triu_indices(len(words), 1)
+    len_a, len_b = lengths[ia], lengths[ib]
+    codes_a, codes_b = codes[ia].T, codes[ib].T
+    scores = np.empty(len(ia))
+
+    # Tables hold one row of the dynamic program, indexed [j, pair].
+    m_row = np.full((width + 1, len(ia)), _NEG_INF)
+    x_row = np.full_like(m_row, _NEG_INF)
+    y_row = np.full_like(m_row, _NEG_INF)
+    m_row[0] = 0.0
+    for j in range(1, width + 1):
+        y_row[j] = open_ + ext * (j - 1)
+    for i in range(width + 1):
+        if i > 0:
+            column = np.where(codes_a[i - 1] == codes_b, scoring.match, scoring.mismatch)
+            m_new = np.full_like(m_row, _NEG_INF)
+            m_new[1:] = np.maximum(np.maximum(m_row[:-1], x_row[:-1]), y_row[:-1]) + column
+            x_new = np.empty_like(m_row)
+            x_new[0] = open_ + ext * (i - 1)
+            x_new[1:] = np.maximum(
+                np.maximum(m_row[1:] + open_, x_row[1:] + ext), y_row[1:] + open_
+            )
+            y_new = np.full_like(m_row, _NEG_INF)
+            opened = np.maximum(m_new + open_, x_new + open_)
+            for j in range(1, width + 1):
+                y_new[j] = np.maximum(opened[j - 1], y_new[j - 1] + ext)
+            m_row, x_row, y_row = m_new, x_new, y_new
+        ends = np.flatnonzero(len_a == i)
+        cols = len_b[ends]
+        scores[ends] = np.maximum(
+            np.maximum(m_row[cols, ends], x_row[cols, ends]), y_row[cols, ends]
+        )
+    return scores
+
+
+def _guide_distances(words: Sequence[np.ndarray], scoring: AlignScoring) -> np.ndarray:
+    """Symmetric distance matrix ``1 - score / (match * longer length)``."""
+    lengths = np.array([len(w) for w in words])
+    ia, ib = np.triu_indices(len(words), 1)
+    limit = scoring.match * np.maximum(lengths[ia], lengths[ib])
+    dist = np.zeros((len(words), len(words)))
+    dist[ia, ib] = dist[ib, ia] = 1.0 - _pair_scores(words, scoring) / limit
+    return dist
+
+
+def _symbol_scores(n_codes: int, scoring: AlignScoring) -> np.ndarray:
+    """Score of every pair of symbol codes in a profile column, code 0 = gap."""
+    table = np.full((n_codes, n_codes), float(scoring.mismatch))
+    np.fill_diagonal(table, scoring.match)
+    table[0, :] = table[:, 0] = scoring.gap_extend
+    table[0, 0] = 0.0
+    return table
+
+
+def _column_scores(
+    rows_a: np.ndarray, rows_b: np.ndarray, symbol_scores: np.ndarray
+) -> np.ndarray:
+    """Mean symbol score of every column pair of two integer-coded profiles.
+
+    The row pairs are summed one by one from 0.0, row of A outer, so every
+    mean is rounded as a plain loop over the pairs rounds it.
+    """
+    (r_a, n_a), (r_b, n_b) = rows_a.shape, rows_b.shape
+    terms = np.zeros((r_a * r_b + 1, n_a, n_b))
+    terms[1:] = symbol_scores[
+        rows_a[:, None, :, None], rows_b[None, :, None, :]
+    ].reshape(r_a * r_b, n_a, n_b)
+    return np.add.accumulate(terms, axis=0)[-1] / (r_a * r_b)
 
 
 def _merge_profiles(
-    rows_a: list[list[str]],
-    rows_b: list[list[str]],
+    rows_a: np.ndarray,
+    rows_b: np.ndarray,
+    symbol_scores: np.ndarray,
     scoring: AlignScoring,
-) -> list[list[str]]:
-    """Align two gap-padded profiles column against column.
+) -> np.ndarray:
+    """Align two integer-coded profiles (code 0 = gap) column against column.
 
     A column pair is scored by the mean pairwise symbol score over all row
-    combinations; new gap columns pay the affine penalties unscaled, which
-    keeps them on the same footing as the averaged column scores.
+    combinations, ``symbol_scores[x, y]`` per symbol pair; new gap columns pay
+    the affine penalties unscaled, which keeps them on the same footing as the
+    averaged column scores.
     """
-    n_a = len(rows_a[0]) if rows_a else 0
-    n_b = len(rows_b[0]) if rows_b else 0
-    cols_a = [[row[i] for row in rows_a] for i in range(n_a)]
-    cols_b = [[row[j] for row in rows_b] for j in range(n_b)]
-
-    def column_score(i: int, j: int) -> float:
-        total = 0.0
-        for x in cols_a[i]:
-            for y in cols_b[j]:
-                total += _pair_symbol_score(x, y, scoring)
-        return total / (len(cols_a[i]) * len(cols_b[j]))
-
-    pairs, _ = _gotoh(n_a, n_b, column_score, scoring)
-    merged: list[list[str]] = [[] for _ in range(len(rows_a) + len(rows_b))]
-    for i, j in pairs:
-        col_a = cols_a[i] if i is not None else [GAP] * len(rows_a)
-        col_b = cols_b[j] if j is not None else [GAP] * len(rows_b)
-        for r, symbol in enumerate(col_a + col_b):
-            merged[r].append(symbol)
+    (r_a, n_a), (r_b, n_b) = rows_a.shape, rows_b.shape
+    table = _column_scores(rows_a, rows_b, symbol_scores).tolist()
+    pairs, _ = _gotoh(n_a, n_b, lambda i, j: table[i][j], scoring)
+    merged = np.zeros((r_a + r_b, len(pairs)), dtype=rows_a.dtype)
+    for c, (i, j) in enumerate(pairs):
+        if i is not None:
+            merged[:r_a, c] = rows_a[:, i]
+        if j is not None:
+            merged[r_a:, c] = rows_b[:, j]
     return merged
 
 
@@ -213,37 +286,26 @@ class ConceptAlignment:
 
 
 def _average_linkage_order(dist: np.ndarray) -> list[tuple[int, int]]:
-    """Merge order of average-linkage clustering on a condensed matrix.
+    """Merge order of average-linkage clustering on a symmetric distance
+    matrix.
 
-    Returns (i, j) cluster-index pairs; the merged cluster takes index i.
-    Ties go to the lowest (i, j) pair.
+    Returns (i, j) cluster-index pairs, i < j; the merged cluster takes index
+    i. Ties go to the lowest (i, j) pair: in a symmetric matrix the first
+    minimum in row-major order lies above the diagonal.
     """
     n = dist.shape[0]
-    active = list(range(n))
-    sizes = {i: 1 for i in range(n)}
-    d = {frozenset((i, j)): dist[i, j] for i in range(n) for j in range(i + 1, n)}
+    d = np.array(dist, dtype=float)
+    np.fill_diagonal(d, np.inf)
+    sizes = [1] * n
     merges = []
-    while len(active) > 1:
-        best_pair = None
-        best_val = None
-        for ai in range(len(active)):
-            for aj in range(ai + 1, len(active)):
-                i, j = active[ai], active[aj]
-                val = d[frozenset((i, j))]
-                if best_val is None or val < best_val:
-                    best_val = val
-                    best_pair = (i, j)
-        i, j = best_pair
+    for _ in range(n - 1):
+        i, j = divmod(int(np.argmin(d)), n)
         merges.append((i, j))
-        for k in active:
-            if k in (i, j):
-                continue
-            new = (
-                sizes[i] * d[frozenset((i, k))] + sizes[j] * d[frozenset((j, k))]
-            ) / (sizes[i] + sizes[j])
-            d[frozenset((i, k))] = new
+        # Retired and own entries are inf and stay inf.
+        merged = (sizes[i] * d[i] + sizes[j] * d[j]) / (sizes[i] + sizes[j])
+        d[i] = d[:, i] = merged
+        d[j] = d[:, j] = np.inf
         sizes[i] += sizes[j]
-        active.remove(j)
     return merges
 
 
@@ -266,25 +328,23 @@ def progressive_align(
         width = len(seqs[present[0]])
         aligned = {present[0]: list(seqs[present[0]])}
     else:
-        k = len(present)
-        dist = np.zeros((k, k))
-        for a in range(k):
-            for b in range(a + 1, k):
-                sa, sb = seqs[present[a]], seqs[present[b]]
-                _, _, score = pairwise_align(sa, sb, scoring)
-                limit = scoring.match * max(len(sa), len(sb))
-                dist[a, b] = dist[b, a] = 1.0 - score / limit
-        profiles: dict[int, list[list[str]]] = {
-            a: [list(seqs[present[a]])] for a in range(k)
-        }
-        members: dict[int, list[int]] = {a: [present[a]] for a in range(k)}
-        for i, j in _average_linkage_order(dist):
-            profiles[i] = _merge_profiles(profiles[i], profiles[j], scoring)
+        # Code 0 is GAP, which profile scores count as a gap.
+        code = {GAP: 0}
+        words = [
+            np.array([code.setdefault(c, len(code)) for c in seqs[p]]) for p in present
+        ]
+        symbol_scores = _symbol_scores(len(code), scoring)
+
+        profiles = {a: word[None, :] for a, word in enumerate(words)}
+        members: dict[int, list[int]] = {a: [p] for a, p in enumerate(present)}
+        for i, j in _average_linkage_order(_guide_distances(words, scoring)):
+            profiles[i] = _merge_profiles(profiles[i], profiles[j], symbol_scores, scoring)
             members[i] = members[i] + members[j]
             del profiles[j], members[j]
         (root,) = profiles
-        width = len(profiles[root][0])
-        aligned = dict(zip(members[root], profiles[root]))
+        width = profiles[root].shape[1]
+        decoded = np.array(list(code))[profiles[root]].tolist()
+        aligned = dict(zip(members[root], decoded))
 
     rows = tuple(
         tuple(aligned[i]) if i in aligned else (GAP,) * width
@@ -295,6 +355,31 @@ def progressive_align(
         rows = tuple(tuple(row[c] for c in keep) for row in rows)
         width = len(keep)
     return ConceptAlignment(concept=concept, rows=rows, width=width)
+
+
+def _cell_array(cells, taxa: tuple[str, ...]) -> np.ndarray:
+    """Cells as a 2-D array of one-character strings, or :class:`SchemaError`
+    naming the first offending row."""
+
+    def name(r: int) -> str:
+        return f"row {r} ({taxa[r]!r})" if r < len(taxa) else f"row {r}"
+
+    if not isinstance(cells, np.ndarray):
+        cells = list(cells)
+        widths = [len(row) for row in cells]
+        for r, w in enumerate(widths):
+            if w != widths[0]:
+                raise SchemaError(f"{name(r)} has {w} cells, {name(0)} has {widths[0]}")
+    array = np.array(cells, dtype=str)
+    if array.ndim != 2:
+        raise SchemaError("cells must be two-dimensional")
+    bad = np.argwhere(np.char.str_len(array) != 1)
+    if len(bad):
+        r, c = bad[0]
+        raise SchemaError(
+            f"{name(r)}, site {c}: cell {array[r, c]!r} is not one character"
+        )
+    return array
 
 
 class CharacterMatrix:
@@ -311,9 +396,7 @@ class CharacterMatrix:
         concept_bounds: Sequence[tuple[str, int, int]] = (),
     ):
         self.taxa = tuple(taxa)
-        array = np.array(cells, dtype="<U1")
-        if array.ndim != 2:
-            raise SchemaError("cells must be two-dimensional")
+        array = _cell_array(cells, self.taxa)
         if array.shape[0] != len(self.taxa):
             raise SchemaError("one row per taxon required")
         if len(set(self.taxa)) != len(self.taxa):

@@ -180,6 +180,189 @@ def score_pairwise_rows(row_a, row_b, match: float, mismatch: float,
     return total
 
 
+# -- progressive alignment, one pair and one cell at a time -----------------
+#
+# One traced dynamic program with numpy tables per word pair, a dict of
+# cluster distances keyed by pairs, and a column score that loops over row
+# pairs. The package batches all three and must reproduce this output
+# exactly.
+
+def _reference_gotoh(n_a, n_b, column_score, match, mismatch, gap_open,
+                     gap_extend):
+    """Affine-gap alignment with ties M over X over Y; (pairs, score)."""
+    neg_inf = float("-inf")
+    if n_a == 0 and n_b == 0:
+        return [], 0.0
+    if n_a == 0:
+        return [(None, j) for j in range(n_b)], gap_open + gap_extend * (n_b - 1)
+    if n_b == 0:
+        return [(i, None) for i in range(n_a)], gap_open + gap_extend * (n_a - 1)
+    shape = (n_a + 1, n_b + 1)
+    m_mat = np.full(shape, neg_inf)
+    x_mat = np.full(shape, neg_inf)
+    y_mat = np.full(shape, neg_inf)
+    m_ptr = np.zeros(shape, dtype=np.int8)
+    x_ptr = np.zeros(shape, dtype=np.int8)
+    y_ptr = np.zeros(shape, dtype=np.int8)
+    m_mat[0, 0] = 0.0
+    for i in range(1, n_a + 1):
+        x_mat[i, 0] = gap_open + gap_extend * (i - 1)
+        x_ptr[i, 0] = 1 if i > 1 else 0
+    for j in range(1, n_b + 1):
+        y_mat[0, j] = gap_open + gap_extend * (j - 1)
+        y_ptr[0, j] = 2 if j > 1 else 0
+
+    def argbest(m, x, y):
+        if m >= x and m >= y:
+            return m, 0
+        if x >= y:
+            return x, 1
+        return y, 2
+
+    for i in range(1, n_a + 1):
+        for j in range(1, n_b + 1):
+            best, state = argbest(m_mat[i - 1, j - 1], x_mat[i - 1, j - 1],
+                                  y_mat[i - 1, j - 1])
+            m_mat[i, j] = best + column_score(i - 1, j - 1)
+            m_ptr[i, j] = state
+            best, state = argbest(m_mat[i - 1, j] + gap_open,
+                                  x_mat[i - 1, j] + gap_extend,
+                                  y_mat[i - 1, j] + gap_open)
+            x_mat[i, j] = best
+            x_ptr[i, j] = state
+            best, state = argbest(m_mat[i, j - 1] + gap_open,
+                                  x_mat[i, j - 1] + gap_open,
+                                  y_mat[i, j - 1] + gap_extend)
+            y_mat[i, j] = best
+            y_ptr[i, j] = state
+
+    score, state = argbest(m_mat[n_a, n_b], x_mat[n_a, n_b], y_mat[n_a, n_b])
+    pairs = []
+    i, j = n_a, n_b
+    while i > 0 or j > 0:
+        if state == 0:
+            pairs.append((i - 1, j - 1))
+            state = m_ptr[i, j]
+            i, j = i - 1, j - 1
+        elif state == 1:
+            pairs.append((i - 1, None))
+            state = x_ptr[i, j]
+            i -= 1
+        else:
+            pairs.append((None, j - 1))
+            state = y_ptr[i, j]
+            j -= 1
+    pairs.reverse()
+    return pairs, float(score)
+
+
+def reference_pair_score(a, b, match, mismatch, gap_open, gap_extend) -> float:
+    """Score of the traced pairwise alignment of two words."""
+    def column_score(i, j):
+        return match if a[i] == b[j] else mismatch
+
+    return _reference_gotoh(len(a), len(b), column_score, match, mismatch,
+                            gap_open, gap_extend)[1]
+
+
+def reference_linkage_order(dist):
+    n = dist.shape[0]
+    active = list(range(n))
+    sizes = {i: 1 for i in range(n)}
+    d = {frozenset((i, j)): dist[i, j] for i in range(n) for j in range(i + 1, n)}
+    merges = []
+    while len(active) > 1:
+        best_pair = None
+        best_val = None
+        for ai in range(len(active)):
+            for aj in range(ai + 1, len(active)):
+                i, j = active[ai], active[aj]
+                val = d[frozenset((i, j))]
+                if best_val is None or val < best_val:
+                    best_val = val
+                    best_pair = (i, j)
+        i, j = best_pair
+        merges.append((i, j))
+        for k in active:
+            if k in (i, j):
+                continue
+            d[frozenset((i, k))] = (
+                sizes[i] * d[frozenset((i, k))] + sizes[j] * d[frozenset((j, k))]
+            ) / (sizes[i] + sizes[j])
+        sizes[i] += sizes[j]
+        active.remove(j)
+    return merges
+
+
+def reference_column_score(col_a, col_b, match, mismatch, gap_extend):
+    """Mean symbol score over all row pairs of two profile columns."""
+    def symbol_score(x, y):
+        if x == GAP and y == GAP:
+            return 0.0
+        if x == GAP or y == GAP:
+            return gap_extend
+        return match if x == y else mismatch
+
+    total = 0.0
+    for x in col_a:
+        for y in col_b:
+            total += symbol_score(x, y)
+    return total / (len(col_a) * len(col_b))
+
+
+def _reference_merge(rows_a, rows_b, match, mismatch, gap_open, gap_extend):
+    n_a, n_b = len(rows_a[0]), len(rows_b[0])
+    cols_a = [[row[i] for row in rows_a] for i in range(n_a)]
+    cols_b = [[row[j] for row in rows_b] for j in range(n_b)]
+
+    def column_score(i, j):
+        return reference_column_score(cols_a[i], cols_b[j], match, mismatch,
+                                      gap_extend)
+
+    pairs, _ = _reference_gotoh(n_a, n_b, column_score, match, mismatch,
+                                gap_open, gap_extend)
+    merged = [[] for _ in range(len(rows_a) + len(rows_b))]
+    for i, j in pairs:
+        col_a = cols_a[i] if i is not None else [GAP] * len(rows_a)
+        col_b = cols_b[j] if j is not None else [GAP] * len(rows_b)
+        for r, symbol in enumerate(col_a + col_b):
+            merged[r].append(symbol)
+    return merged
+
+
+def reference_progressive_align(seqs, match, mismatch, gap_open, gap_extend):
+    """Aligned rows (tuples, missing words as all-gap rows) of one concept;
+    at least one word must be non-empty."""
+    present = [i for i, s in enumerate(seqs) if s]
+    if len(present) == 1:
+        width = len(seqs[present[0]])
+        aligned = {present[0]: list(seqs[present[0]])}
+    else:
+        k = len(present)
+        dist = np.zeros((k, k))
+        for a in range(k):
+            for b in range(a + 1, k):
+                sa, sb = seqs[present[a]], seqs[present[b]]
+                score = reference_pair_score(sa, sb, match, mismatch, gap_open,
+                                             gap_extend)
+                limit = match * max(len(sa), len(sb))
+                dist[a, b] = dist[b, a] = 1.0 - score / limit
+        profiles = {a: [list(seqs[present[a]])] for a in range(k)}
+        members = {a: [present[a]] for a in range(k)}
+        for i, j in reference_linkage_order(dist):
+            profiles[i] = _reference_merge(profiles[i], profiles[j], match,
+                                           mismatch, gap_open, gap_extend)
+            members[i] = members[i] + members[j]
+            del profiles[j], members[j]
+        (root,) = profiles
+        width = len(profiles[root][0])
+        aligned = dict(zip(members[root], profiles[root]))
+    rows = [tuple(aligned[i]) if i in aligned else (GAP,) * width
+            for i in range(len(seqs))]
+    keep = [c for c in range(width) if any(row[c] != GAP for row in rows)]
+    return tuple(tuple(row[c] for c in keep) for row in rows)
+
+
 # -- Student t upper tail by quadrature --------------------------------------
 
 def t_upper_tail(t_value: float, df: int) -> float:

@@ -143,21 +143,3 @@ def simulate_matrix(
         bounds = (("simulated", 0, n_sites),)
     return CharacterMatrix(taxa=template.taxa, cells=rows, concept_bounds=bounds)
 
-
-def apply_gap_mask(simulated: CharacterMatrix, template: CharacterMatrix) -> CharacterMatrix:
-    """Copy the template's gap pattern onto a simulated matrix of the same
-    shape; rows are matched by taxon name."""
-    if set(simulated.taxa) != set(template.taxa):
-        raise TaxaMismatchError(
-            "matrices name different taxa",
-            missing=set(template.taxa) - set(simulated.taxa),
-            extra=set(simulated.taxa) - set(template.taxa),
-        )
-    if simulated.sites != template.sites:
-        raise ValueError("matrices differ in site count")
-    rows = simulated.cells.copy()
-    for t, taxon in enumerate(simulated.taxa):
-        rows[t, template.gap_mask()[template.taxa.index(taxon)]] = GAP
-    return CharacterMatrix(
-        taxa=simulated.taxa, cells=rows, concept_bounds=simulated.concept_bounds
-    )

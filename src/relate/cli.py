@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from datetime import datetime, timezone
 
@@ -137,8 +136,8 @@ def _load_fit_file(path: str) -> MlFit:
     return MlFit(tree=tree, model=model, log_likelihood=ll, search_trace=trace)
 
 
-def _add_wordlist_options(parser: argparse.ArgumentParser):
-    parser.add_argument("--wordlist", required=True, help="TSV wordlist")
+def _add_wordlist_options(parser: argparse.ArgumentParser, required: bool = True):
+    parser.add_argument("--wordlist", required=required, help="TSV wordlist")
     parser.add_argument("--mapping", help="segment-to-class TSV (default: packaged table)")
     parser.add_argument("--keep-loans", action="store_true", help="keep flagged loanwords")
     parser.add_argument(
@@ -303,14 +302,8 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"relate {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    threads_default = int(os.environ.get("RELATE_THREADS", "0")) or None
-
     def common(p: argparse.ArgumentParser):
         p.add_argument("--seed", type=int, default=42, help="random seed (default 42)")
-        p.add_argument(
-            "--threads", type=int, default=threads_default,
-            help="recorded in the manifest; computation is single-process",
-        )
 
     p = sub.add_parser("lrt", help="likelihood-ratio relatedness test")
     _add_wordlist_options(p)
@@ -336,17 +329,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_permtest)
 
     p = sub.add_parser("mltree", help="maximum-likelihood tree inference")
-    p.add_argument("--wordlist", help="TSV wordlist")
-    p.add_argument("--mapping", help="segment-to-class TSV (default: packaged table)")
-    p.add_argument("--keep-loans", action="store_true", help="keep flagged loanwords")
-    p.add_argument(
-        "--keep-flags", action="store_true",
-        help="keep onomatopoeic, nursery and short-flagged forms",
-    )
-    p.add_argument(
-        "--min-classes", type=int, default=2,
-        help="drop forms with fewer consonant classes (default 2)",
-    )
+    _add_wordlist_options(p, required=False)
     p.add_argument("--matrix", help="alignment, FASTA or matrix JSON instead of a wordlist")
     p.add_argument(
         "--p-inv", type=float, default=None,

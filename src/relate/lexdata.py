@@ -51,6 +51,13 @@ class LexEntry:
         if unknown:
             raise SchemaError(f"unknown flags {sorted(unknown)}")
 
+    def encode(self, alphabet: soundclass.ClassAlphabet) -> soundclass.ClassSequence:
+        """Consonant-class sequence of the expert segments when given, of
+        the tokenized form otherwise; see :func:`soundclass.encode_segments`."""
+        if self.segments is not None:
+            return soundclass.encode_segments(self.segments, alphabet, form=self.form)
+        return soundclass.encode_form(self.form, alphabet)
+
 
 @dataclass(frozen=True)
 class Wordlist:
@@ -243,16 +250,6 @@ class FilterPolicy:
     min_classes: int = 2
     alphabet: soundclass.ClassAlphabet | None = None
 
-    @classmethod
-    def keep_everything(cls) -> "FilterPolicy":
-        return cls(drop_loans=False, drop_flags=frozenset(), min_classes=0)
-
-
-def _encoded(entry: LexEntry, alphabet: soundclass.ClassAlphabet) -> soundclass.ClassSequence:
-    if entry.segments is not None:
-        return soundclass.encode_segments(entry.segments, alphabet, form=entry.form)
-    return soundclass.encode_form(entry.form, alphabet)
-
 
 def filter_forms(wl: Wordlist, policy: FilterPolicy = FilterPolicy()) -> Wordlist:
     """Drop loans, flagged entries and too-short forms per ``policy``.
@@ -272,7 +269,7 @@ def filter_forms(wl: Wordlist, policy: FilterPolicy = FilterPolicy()) -> Wordlis
             continue
         if policy.min_classes > 0:
             try:
-                encoded = _encoded(entry, alphabet)
+                encoded = entry.encode(alphabet)
             except UnknownSegmentError:
                 encoded = None
             if encoded is not None and len(encoded) < policy.min_classes:

@@ -16,7 +16,7 @@ import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtr
 
 from .bootsim import SimConfig, simulate_matrix
 from .errors import InsufficientDataError, RelateError
@@ -87,7 +87,9 @@ def paired_t_test(observed, null) -> tuple[float, float]:
             return float("-inf"), 1.0
         return 0.0, 0.5
     t = mean / (sd / np.sqrt(k))
-    return float(t), float(stats.t.sf(t, k - 1))
+    # The Student-t upper tail exactly as scipy.stats.t.sf computes it,
+    # without importing scipy.stats.
+    return float(t), float(stdtr(k - 1, -t))
 
 
 @dataclass(frozen=True)
@@ -183,14 +185,14 @@ def run_lrt(
     """
     if len(matrix.taxa) < 3:
         raise InsufficientDataError("the test needs at least 3 taxa")
+    # Start trees depend on the frequencies only, not on p_inv.
+    freq_model = build_model(matrix, pseudocount=pseudocount, alphabet=alphabet)
     data_fits: list[tuple[list[Phylogeny], tuple[MlFit, MlFit]]] = []
     runs = []
     for j in range(1, config.k + 1):
         seed_j = config.seed + j * RUN_SEED_STRIDE
         search_j = replace(config.search, seed=seed_j)
         try:
-            # Start trees depend on the frequencies only, not on p_inv.
-            freq_model = build_model(matrix, pseudocount=pseudocount, alphabet=alphabet)
             starts = start_trees(matrix, freq_model, search_j)
             earlier = next(
                 (fits for trees, fits in data_fits if _same_trees(trees, starts)), None

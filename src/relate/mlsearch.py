@@ -233,8 +233,9 @@ def optimize_branch_lengths(
     cache: phylik.PartialCache | None = None,
 ) -> tuple[Phylogeny, float]:
     """Sweep all edges with bounded one-dimensional optimization until a
-    full sweep gains less than ``ll_tolerance``. Returns a new tree and its
-    log likelihood; the input tree is untouched. A ``cache`` of the input
+    full sweep gains less than ``ll_tolerance``, or for at most
+    ``_MAX_SWEEPS`` sweeps, with a warning when the cap stops it. Returns a
+    new tree and its log likelihood; the input tree is untouched. A ``cache`` of the input
     tree moves to the returned tree and is kept current with it."""
     prep = source if isinstance(source, SitePrep) else prepare_sites(model, source)
     work = tree.copy()
@@ -249,6 +250,12 @@ def optimize_branch_lengths(
             gain += _optimize_edge(work, model, prep, u, v, config.bl_tolerance, cache)
         if gain < config.ll_tolerance:
             break
+    else:
+        logger.warning(
+            "branch lengths not converged at the cap of %d sweeps: the last "
+            "sweep gained %.3g log likelihood (tolerance %.3g)",
+            _MAX_SWEEPS, gain, config.ll_tolerance,
+        )
     ll = float(phylik.site_log_likelihoods(work, model, prep, cache=cache).sum())
     return work, ll
 

@@ -468,13 +468,6 @@ class CharacterMatrix:
             rows.append(list(row))
         return cls(taxa=taxa, cells=rows)
 
-    def to_fasta(self) -> str:
-        lines = []
-        for t, taxon in enumerate(self.taxa):
-            lines.append(f">{taxon}")
-            lines.append("".join(self.cells[t]))
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_fasta(cls, text: str) -> "CharacterMatrix":
         taxa, rows, current = [], [], None
@@ -554,13 +547,7 @@ def build_character_matrix(
             if not entries:
                 seqs.append(())
                 continue
-            entry = entries[0]
-            if entry.segments is not None:
-                seqs.append(
-                    soundclass.encode_segments(entry.segments, alphabet, form=entry.form)
-                )
-            else:
-                seqs.append(soundclass.encode_form(entry.form, alphabet))
+            seqs.append(entries[0].encode(alphabet))
         if not any(seqs):
             logger.warning("concept %r has no encodable word; skipped", concept)
             continue

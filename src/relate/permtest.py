@@ -36,7 +36,7 @@ from .errors import (
     SchemaError,
 )
 from .lexdata import Wordlist
-from .soundclass import ClassAlphabet, ClassSequence
+from .soundclass import ClassAlphabet
 
 logger = logging.getLogger(__name__)
 
@@ -120,24 +120,6 @@ def load_external_table(source: IO | bytes | str) -> dict[tuple[str, str, str, s
     return table
 
 
-def word_distance(metric: WordMetric, a: ClassSequence, b: ClassSequence) -> float:
-    """Distance between two encoded words under a named rule.
-
-    The EXTERNAL metric needs language context and is rejected here; use
-    the wordlist-level operations for it.
-    """
-    if metric.name == EXTERNAL:
-        raise SchemaError("EXTERNAL distances require language context")
-    if not a and not b:
-        return 0.0
-    if not a or not b:
-        return 1.0
-    if metric.name == P1_DOLGO:
-        return 0.0 if a[0] == b[0] else 1.0
-    k = min(2, len(a), len(b))
-    return 0.0 if a[:k] == b[:k] else 1.0
-
-
 _NO_WORD = -9
 _EMPTY = -1
 _NO_SECOND = -1
@@ -200,12 +182,7 @@ class _Engine:
                 pointers[c] = len(forms)
                 forms.append(entry.form)
                 if metric.name != EXTERNAL:
-                    if entry.segments is not None:
-                        seq = soundclass.encode_segments(
-                            entry.segments, alphabet, form=entry.form
-                        )
-                    else:
-                        seq = soundclass.encode_form(entry.form, alphabet)
+                    seq = entry.encode(alphabet)
                     firsts.append(class_index[seq[0]] if seq else _EMPTY)
                     seconds.append(
                         class_index[seq[1]] if len(seq) > 1 else _NO_SECOND
@@ -373,6 +350,21 @@ class PermutationResult(NamedTuple):
     degenerate: bool
 
 
+def _summary(draws: np.ndarray, observed: float) -> PermutationResult:
+    """Statistics of an observed distance against its permuted ``draws``:
+    the relative drop below their mean and the add-one p-value."""
+    expected = float(draws.mean())
+    p_value = (int(np.count_nonzero(draws <= observed)) + 1) / (len(draws) + 1)
+    degenerate = expected == 0.0
+    s_hat = 0.0 if degenerate else (expected - observed) / expected
+    return PermutationResult(
+        s_hat=float(s_hat),
+        p_value=float(p_value),
+        expected_distance=expected,
+        degenerate=degenerate,
+    )
+
+
 def _significance(
     engine: _Engine,
     cluster_a,
@@ -390,22 +382,12 @@ def _significance(
         )
         for count in _chunk_sizes(n_perm)
     ])
-    expected = float(draws.mean())
-    p_value = (int(np.count_nonzero(draws <= observed)) + 1) / (n_perm + 1)
-    degenerate = expected == 0.0
-    if degenerate:
+    result = _summary(draws, observed)
+    if result.degenerate:
         logger.warning(
             "all permuted distances are zero for %r vs %r", cluster_a, cluster_b
         )
-        s_hat = 0.0
-    else:
-        s_hat = (expected - observed) / expected
-    return observed, PermutationResult(
-        s_hat=float(s_hat),
-        p_value=float(p_value),
-        expected_distance=expected,
-        degenerate=degenerate,
-    )
+    return observed, result
 
 
 def permutation_significance(
@@ -583,28 +565,22 @@ def run_permtest(
     heights = np.array(heights)
     merges: list[Merge] = []
     for k, (left, right, distance) in enumerate(observed):
-        draws = heights[:, k]
-        expected = float(draws.mean())
-        p_value = (int(np.count_nonzero(draws <= distance)) + 1) / (n_perm + 1)
-        degenerate = expected == 0.0
-        if degenerate:
+        result = _summary(heights[:, k], distance)
+        if result.degenerate:
             logger.warning(
                 "all permuted merge heights are zero at rank %d (%r vs %r)",
                 k,
                 left,
                 right,
             )
-            s_hat = 0.0
-        else:
-            s_hat = (expected - distance) / expected
         merges.append(
             Merge(
                 left=left,
                 right=right,
                 distance=float(distance),
-                s_hat=float(s_hat),
-                p_value=float(p_value),
-                degenerate=degenerate,
+                s_hat=result.s_hat,
+                p_value=result.p_value,
+                degenerate=result.degenerate,
             )
         )
     return MergeTree(languages=wl.languages, merges=tuple(merges))

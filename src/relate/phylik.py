@@ -151,9 +151,6 @@ class Phylogeny:
         self.adjacency[u][v] = value
         self.adjacency[v][u] = value
 
-    def total_length(self) -> float:
-        return sum(length for _, _, length in self.edges())
-
     def copy(self) -> "Phylogeny":
         dup = object.__new__(Phylogeny)
         dup.adjacency = {u: dict(nbrs) for u, nbrs in self.adjacency.items()}
@@ -533,13 +530,11 @@ class PartialCache:
         tree: Phylogeny,
         model: SubstitutionModel,
         prep: SitePrep,
-        rates: tuple[float, ...] | None = None,
     ):
         _check_taxa(tree, prep)
         self.tree = tree
         self.model = model
         self.prep = prep
-        self.rates = model.rates if rates is None else tuple(rates)
         row = {name: i for i, name in enumerate(prep.taxa)}
         self._row_of = {node: row[name] for node, name in tree.leaf_names.items()}
         self._entries: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray]]] = {}
@@ -577,7 +572,7 @@ class PartialCache:
         children = [nbr for nbr in tree.neighbors(node) if nbr != block]
         n_sites = self.prep.codes.shape[1]
         out = []
-        for k, rate in enumerate(self.rates):
+        for k, rate in enumerate(model.rates):
             if tree.is_leaf(node):
                 value = _leaf_partial(model, self.prep.codes[self._row_of[node]])
             else:
@@ -651,7 +646,7 @@ class PartialCache:
         category, at ``root`` (by default the tree's default root)."""
         if root is None:
             root = _default_root(self.tree)
-        out = np.empty((len(self.rates), self.prep.codes.shape[1]))
+        out = np.empty((len(self.model.rates), self.prep.codes.shape[1]))
         for k, (value, logs) in enumerate(self.partial(root)):
             with np.errstate(divide="ignore"):
                 out[k] = np.log(self.model.freqs @ value) + logs
@@ -724,26 +719,6 @@ def total_log_likelihood(
         total_log_likelihood=float(per_site.sum()),
         per_site_log_likelihoods=per_site,
     )
-
-
-def site_conditionals(
-    tree: Phylogeny,
-    model: SubstitutionModel,
-    matrix: CharacterMatrix,
-    site: int,
-    rate: float = 1.0,
-) -> np.ndarray:
-    """Unscaled per-state conditional likelihoods of one site at the
-    default virtual root (variable component, one rate)."""
-    prep = prepare_sites(model, matrix)
-    one_site = SitePrep(
-        taxa=prep.taxa,
-        codes=prep.codes[:, site : site + 1],
-        log_inv=prep.log_inv[site : site + 1],
-    )
-    cache = PartialCache(tree, model, one_site, rates=(rate,))
-    ((value, logs),) = cache.partial(_default_root(tree))
-    return value[:, 0] * np.exp(logs[0])
 
 
 def edge_log_likelihood_fn(

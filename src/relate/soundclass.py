@@ -120,16 +120,6 @@ def encode_form(form: str, alphabet: ClassAlphabet) -> ClassSequence:
     return encode_segments(tokenize_form(form, alphabet), alphabet, form=form)
 
 
-#: Class relabelings applied when exporting to a protein-style alphabet whose
-#: tools reserve some letters (J is not a valid amino-acid code).
-EXTENDED_ALPHABET_RENAMES = {"J": "I"}
-
-
-def export_extended_alphabet(seq: ClassSequence) -> ClassSequence:
-    """Rename class symbols that protein-alphabet tools cannot represent."""
-    return tuple(EXTENDED_ALPHABET_RENAMES.get(s, s) for s in seq)
-
-
 def load_alphabet(source: IO | bytes | str) -> ClassAlphabet:
     """Read a segment table from TSV with columns SEGMENT and CLASS.
 

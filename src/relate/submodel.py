@@ -16,12 +16,11 @@ quantile bin).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import gammainc, gammaincinv
 
 from .errors import SchemaError
 from .msa import CharacterMatrix
@@ -45,11 +44,16 @@ def gamma_categories(shape: float, n_cats: int) -> tuple[float, ...]:
         raise ValueError(f"need at least one rate category, got {n_cats}")
     if n_cats == 1:
         return (1.0,)
+    # Quantiles and bin masses of Gamma(shape, scale=1/shape) from the
+    # regularized incomplete gamma functions, with the scale applied as
+    # scipy.stats.gamma applies it, so the rates equal its to the last bit
+    # without importing scipy.stats.
+    scale = 1.0 / shape
     probs = np.arange(1, n_cats) / n_cats
-    cuts = stats.gamma.ppf(probs, a=shape, scale=1.0 / shape)
+    cuts = gammaincinv(shape, probs) * scale
     edges = np.concatenate(([0.0], cuts, [np.inf]))
-    upper = stats.gamma.cdf(edges[1:], a=shape + 1, scale=1.0 / shape)
-    lower = stats.gamma.cdf(edges[:-1], a=shape + 1, scale=1.0 / shape)
+    upper = gammainc(shape + 1, edges[1:] / scale)
+    lower = gammainc(shape + 1, edges[:-1] / scale)
     rates = n_cats * (upper - lower)
     rates /= rates.mean()
     return tuple(float(r) for r in rates)
@@ -100,19 +104,6 @@ class SubstitutionModel:
     def n_states(self) -> int:
         return len(self.alphabet)
 
-    def state_index(self, symbol: str) -> int:
-        try:
-            return self.alphabet.index(symbol)
-        except ValueError:
-            raise ValueError(f"symbol {symbol!r} is not a model state") from None
-
-    def rate_matrix(self) -> np.ndarray:
-        """The generator Q with q_ij = mu * pi_j off the diagonal."""
-        q = self.mu * np.tile(self.freqs, (self.n_states, 1))
-        np.fill_diagonal(q, 0.0)
-        np.fill_diagonal(q, -q.sum(axis=1))
-        return q
-
     def with_p_inv(self, p_inv: float) -> "SubstitutionModel":
         return replace(self, p_inv=p_inv)
 
@@ -129,9 +120,6 @@ class SubstitutionModel:
             "n_rate_cats": self.n_rate_cats,
             "rates": list(self.rates),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SubstitutionModel":

@@ -491,6 +491,25 @@ def upgma_merge_heights(dist: np.ndarray, names) -> list[tuple[frozenset, float]
 # word i of a and word j of b; with ``complement`` the tables hold word
 # agreements instead and a language distance is one minus their mean.
 
+def word_distance(metric: str, a, b) -> float:
+    """Distance of two encoded words under the named rule ``P1_DOLGO`` or
+    ``TURCHIN``, one word pair at a time.
+
+    0 when the words agree on their first class (P1_DOLGO) or on their
+    first two classes as far as the shorter word reaches (TURCHIN), else 1.
+    Two empty words (vowels only) agree; an empty and a non-empty word do
+    not. Other metrics need language context and raise ``ValueError``.
+    """
+    if metric not in ("P1_DOLGO", "TURCHIN"):
+        raise ValueError(f"{metric} distances need language context")
+    if not a and not b:
+        return 0.0
+    if not a or not b:
+        return 1.0
+    k = 1 if metric == "P1_DOLGO" else min(2, len(a), len(b))
+    return 0.0 if tuple(a[:k]) == tuple(b[:k]) else 1.0
+
+
 def _reference_shuffle(slots, languages, rng):
     out = {}
     for language in sorted(languages):

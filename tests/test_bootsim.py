@@ -5,7 +5,7 @@ import pytest
 
 from helpers import matrix_from_rows, random_freq_model
 from oracles import expm_transition
-from relate.bootsim import SimConfig, apply_gap_mask, simulate_matrix, simulate_sites
+from relate.bootsim import SimConfig, simulate_matrix, simulate_sites
 from relate.errors import TaxaMismatchError
 from relate.mlsearch import MlFit
 from relate.phylik import parse_newick
@@ -173,21 +173,18 @@ class TestSimulateMatrix:
 
 
 class TestApplyGapMask:
+    """The template's gap pattern as :func:`simulate_matrix` applies it."""
+
     def test_mask_follows_taxon_names_not_row_order(self):
-        template = matrix_from_rows(["A", "B"], [list("K-S"), list("-RS")])
-        simulated = matrix_from_rows(["B", "A"], [list("RRR"), list("KKK")])
-        masked = apply_gap_mask(simulated, template)
-        assert list(masked.row("A")) == ["K", GAP, "K"]
-        assert list(masked.row("B")) == [GAP, "R", "R"]
-
-    def test_shape_mismatch_is_rejected(self):
-        template = matrix_from_rows(["A", "B"], [list("K-S"), list("-RS")])
-        simulated = matrix_from_rows(["A", "B"], [list("KK"), list("RR")])
-        with pytest.raises(ValueError):
-            apply_gap_mask(simulated, template)
-
-    def test_taxa_mismatch_is_rejected(self):
-        template = matrix_from_rows(["A", "B"], [list("K-S"), list("-RS")])
-        simulated = matrix_from_rows(["A", "X"], [list("KKK"), list("RRR")])
-        with pytest.raises(TaxaMismatchError):
-            apply_gap_mask(simulated, template)
+        template = matrix_from_rows(
+            ["C", "A", "B"], [list("KRS-"), list("K-SS"), list("-RSS")])
+        model = random_freq_model(4, seed=0)
+        fit = make_fit("(A:0.3,B:0.2,C:0.4);", model)
+        rep = simulate_matrix(fit, template, SimConfig(seed=8))
+        leaf_states = simulate_sites(fit.tree, model, 4, np.random.default_rng(8))
+        assert rep.taxa == ("C", "A", "B")
+        for taxon in ("A", "B", "C"):
+            gaps = template.row(taxon) == GAP
+            simulated = np.array(model.alphabet)[leaf_states[taxon]]
+            assert (rep.row(taxon)[gaps] == GAP).all()
+            assert (rep.row(taxon)[~gaps] == simulated[~gaps]).all()

@@ -1,6 +1,10 @@
 """End-to-end command line runs: exit codes, payloads, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +53,7 @@ class TestLrtCommand:
         assert wordlist_path in manifest["inputs"]
         assert len(manifest["inputs"][wordlist_path]) == 64
         assert "created_utc" in manifest
+        assert "threads" not in manifest["config"]
         stdout = capsys.readouterr().out
         assert payload["report"]["decision"] in stdout
         assert "p=" in stdout
@@ -259,3 +264,16 @@ class TestTopLevel:
     def test_unknown_command_exits_1(self, capsys):
         assert main(["frobnicate"]) == EXIT_INPUT
         assert "usage" in capsys.readouterr().err
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # Every command pays for the import; scipy.stats alone would take
+        # longer than the rest of it.
+        import relate
+
+        src = str(Path(relate.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        code = ("import sys, relate, relate.cli; "
+                "assert relate.__file__.startswith(sys.argv[1]), relate.__file__; "
+                "sys.exit('scipy.stats' in sys.modules)")
+        subprocess.run([sys.executable, "-c", code, src], env=env, check=True)

@@ -3,7 +3,7 @@
 import pytest
 
 from helpers import wordlist_text
-from relate.errors import EmptyInputError, ParseError, SchemaError
+from relate.errors import EmptyInputError, ParseError, SchemaError, UnknownSegmentError
 from relate.lexdata import (
     FilterPolicy,
     IngestConfig,
@@ -13,6 +13,7 @@ from relate.lexdata import (
     parse_wordlist,
     select_core_form,
 )
+from relate.soundclass import default_alphabet, encode_form, encode_segments
 
 
 class TestParseWordlist:
@@ -127,6 +128,22 @@ def entry(language="Latin", concept="horn", form="cornu", flags=(),
                     core_rank)
 
 
+class TestEncode:
+    def test_expert_segments_override_the_form(self):
+        alphabet = default_alphabet()
+        plain = entry(form="bhadra")
+        segmented = entry(form="bhadra", segments=("b", "h", "a", "d", "r", "a"))
+        assert plain.encode(alphabet) == encode_form("bhadra", alphabet)
+        assert segmented.encode(alphabet) == encode_segments(
+            segmented.segments, alphabet, form="bhadra")
+        assert plain.encode(alphabet) != segmented.encode(alphabet)
+
+    def test_unknown_segment_names_the_form(self):
+        with pytest.raises(UnknownSegmentError) as err:
+            entry(form="kana", segments=("k", "#")).encode(default_alphabet())
+        assert "kana" in str(err.value)
+
+
 class TestFilterForms:
     def test_loan_dropped_by_default(self):
         wl = make_wordlist(entry(form="cornu"),
@@ -138,7 +155,8 @@ class TestFilterForms:
         wl = make_wordlist(entry(form="cornu"),
                            entry(form="karn", flags={"LOAN", "NURSERY"}),
                            entry(form="u"))
-        out = filter_forms(wl, FilterPolicy.keep_everything())
+        policy = FilterPolicy(drop_loans=False, drop_flags=frozenset(), min_classes=0)
+        out = filter_forms(wl, policy)
         assert out.entries == wl.entries
 
     def test_single_consonant_form_dropped_under_min_two(self):

@@ -1,10 +1,13 @@
 """Distance initialization, branch-length optimization, NNI search."""
 
+import logging
+
 import numpy as np
 import pytest
 
 from helpers import matrix_from_rows, random_freq_model
 from relate.bootsim import simulate_sites
+from relate import mlsearch
 from relate.msa import CharacterMatrix
 from relate.mlsearch import (
     SearchConfig,
@@ -179,6 +182,31 @@ class TestOptimizeBranchLengths:
         before = total_log_likelihood(tree, model, m).total_log_likelihood
         _, after = optimize_branch_lengths(tree, model, m)
         assert after >= before - 1e-12
+
+    def four_taxon_case(self):
+        m = matrix_from_rows(
+            ["A", "B", "C", "D"],
+            [list("KRSKRSKK"), list("KRSKRNKK"), list("TRSKSNKK"),
+             list("TRSSSNKK")])
+        tree = parse_newick("((A:2.0,B:2.0):2.0,(C:2.0,D:2.0):2.0);")
+        return tree, build_model(m, pseudocount=0.5), m
+
+    def test_stopping_at_the_sweep_cap_is_logged(self, monkeypatch, caplog):
+        tree, model, m = self.four_taxon_case()
+        monkeypatch.setattr(mlsearch, "_MAX_SWEEPS", 1)
+        with caplog.at_level(logging.WARNING, logger="relate.mlsearch"):
+            optimize_branch_lengths(tree, model, m)
+        (record,) = caplog.records
+        assert record.levelno == logging.WARNING
+        assert "cap of 1 sweeps" in record.getMessage()
+        gain = float(record.getMessage().split("gained ")[1].split()[0])
+        assert gain >= SearchConfig().ll_tolerance
+
+    def test_converging_fit_logs_nothing(self, caplog):
+        tree, model, m = self.four_taxon_case()
+        with caplog.at_level(logging.WARNING, logger="relate.mlsearch"):
+            optimize_branch_lengths(tree, model, m)
+        assert caplog.records == []
 
 
 class TestNniSearch:

@@ -391,9 +391,10 @@ class TestCharacterMatrix:
     def test_fasta_roundtrip(self):
         m = CharacterMatrix(["A", "B"], [["K", "R"], ["K", "-"]],
                             [("horn", 0, 2)])
-        parsed = CharacterMatrix.from_fasta(m.to_fasta())
+        parsed = CharacterMatrix.from_fasta(">A\nKR\n>B\nK-\n")
         assert parsed.taxa == m.taxa
         assert np.array_equal(parsed.cells, m.cells)
+        assert parsed.to_alignment_text() == m.to_alignment_text()
 
     def test_dict_roundtrip_keeps_bounds(self):
         m = CharacterMatrix(["A", "B"], [["K", "R"], ["K", "-"]],

@@ -11,6 +11,7 @@ from oracles import (
     reference_pairwise,
     reference_significance,
     upgma_merge_heights,
+    word_distance,
 )
 from relate.errors import (
     DistanceUndefinedError,
@@ -37,9 +38,8 @@ from relate.permtest import (
     pairwise_significance,
     permutation_significance,
     run_permtest,
-    word_distance,
 )
-from relate.soundclass import default_alphabet, encode_form, encode_segments
+from relate.soundclass import default_alphabet, encode_form
 
 
 def make_wordlist(*rows):
@@ -50,43 +50,59 @@ def encoded(form: str):
     return encode_form(form, default_alphabet())
 
 
+def word_pair_distance(metric, form_a, form_b):
+    """``language_distance`` of two languages that share one concept, with
+    ``form_a`` and ``form_b`` for it, after checking that it equals the
+    per-word oracle on the forms' encodings."""
+    wl = make_wordlist(("A", "c1", form_a), ("B", "c1", form_b))
+    got = language_distance(metric, wl, "A", "B")
+    assert got == word_distance(metric.name, encoded(form_a), encoded(form_b))
+    return got
+
+
 class TestWordDistance:
     def test_cognate_looking_pair_scores_zero(self):
-        metric = WordMetric.p1_dolgo()
-        assert word_distance(metric, encoded("nāma"), encoded("name")) == 0.0
+        assert word_pair_distance(WordMetric.p1_dolgo(), "nāma", "name") == 0.0
 
     def test_identical_word_scores_zero_under_both_rules(self):
         for metric in (WordMetric.p1_dolgo(), WordMetric.turchin()):
-            assert word_distance(metric, encoded("bad"), encoded("bad")) == 0.0
+            assert word_pair_distance(metric, "bad", "bad") == 0.0
 
     def test_different_first_class(self):
-        metric = WordMetric.p1_dolgo()
-        assert word_distance(metric, ("K", "R", "S"), ("S", "R", "N", "K")) == 1.0
+        # K R S against S R N K.
+        for metric in (WordMetric.p1_dolgo(), WordMetric.turchin()):
+            assert word_pair_distance(metric, "kars", "sarnak") == 1.0
 
     def test_first_class_agreement_is_enough_for_p1(self):
-        metric = WordMetric.p1_dolgo()
-        assert word_distance(metric, ("K", "R"), ("K", "T")) == 0.0
+        # K R against K T.
+        assert word_pair_distance(WordMetric.p1_dolgo(), "kar", "kat") == 0.0
 
     def test_stricter_rule_compares_two_classes(self):
         metric = WordMetric.turchin()
-        assert word_distance(metric, ("K", "R"), ("K", "T")) == 1.0
-        assert word_distance(metric, ("K", "R"), ("K", "R", "T")) == 0.0
+        assert word_pair_distance(metric, "kar", "kat") == 1.0
+        assert word_pair_distance(metric, "kar", "karat") == 0.0
 
     def test_one_consonant_word_compares_its_prefix(self):
         metric = WordMetric.turchin()
-        assert word_distance(metric, ("K",), ("K", "R")) == 0.0
-        assert word_distance(metric, ("T",), ("K", "R")) == 1.0
+        assert word_pair_distance(metric, "ka", "kar") == 0.0
+        assert word_pair_distance(metric, "ta", "kar") == 1.0
 
     def test_empty_sequences(self):
+        # Vowel-only forms encode to the empty sequence.
+        assert encoded("ai") == ()
         for metric in (WordMetric.p1_dolgo(), WordMetric.turchin()):
-            assert word_distance(metric, (), ()) == 0.0
-            assert word_distance(metric, (), ("K",)) == 1.0
-            assert word_distance(metric, ("K",), ()) == 1.0
+            assert word_pair_distance(metric, "ai", "a") == 0.0
+            assert word_pair_distance(metric, "a", "ka") == 1.0
+            assert word_pair_distance(metric, "ka", "a") == 1.0
 
     def test_external_metric_needs_language_context(self):
-        metric = WordMetric.external({("A", "x", "B", "y"): 0.5})
-        with pytest.raises(SchemaError):
-            word_distance(metric, ("K",), ("K",))
+        # The table is keyed by language and form, not by encoding.
+        wl = make_wordlist(("A", "c1", "ka"), ("B", "c1", "ka"))
+        metric = WordMetric.external({("A", "ka", "B", "ka"): 0.5,
+                                      ("B", "ka", "A", "ka"): 0.5})
+        assert language_distance(metric, wl, "A", "B") == 0.5
+        with pytest.raises(ValueError):
+            word_distance(metric.name, ("K",), ("K",))
 
 
 class TestWordMetric:
@@ -456,12 +472,7 @@ def oracle_inputs(metric, wl):
                 entries.append(found[0])
         slots[language], words[language] = pointers, entries
 
-    def encode(entry):
-        if entry.segments is not None:
-            return encode_segments(entry.segments, alphabet, form=entry.form)
-        return encode_form(entry.form, alphabet)
-
-    codes = {lang: [encode(e) for e in entries] for lang, entries in words.items()}
+    codes = {lang: [e.encode(alphabet) for e in entries] for lang, entries in words.items()}
     tables = {}
     for a in wl.languages:
         for b in wl.languages:
@@ -471,7 +482,8 @@ def oracle_inputs(metric, wl):
                 table = [[metric.external_table[a, x.form, b, y.form] for y in words[b]]
                          for x in words[a]]
             else:
-                table = [[word_distance(metric, x, y) for y in codes[b]] for x in codes[a]]
+                table = [[word_distance(metric.name, x, y) for y in codes[b]]
+                         for x in codes[a]]
             tables[a, b] = np.array(table)
             if metric.name == TURCHIN:
                 tables[a, b] = 1.0 - tables[a, b]

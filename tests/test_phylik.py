@@ -17,11 +17,11 @@ from relate.phylik import (
     DEFAULT_BRANCH_LENGTH,
     PartialCache,
     Phylogeny,
+    _default_root,
     edge_log_likelihood_fn,
     parse_newick,
     prepare_sites,
     random_tree,
-    site_conditionals,
     site_log_likelihoods,
     total_log_likelihood,
     write_newick,
@@ -171,6 +171,23 @@ class TestPruningAgainstEnumeration:
             model.alphabet, model.freqs, p_inv=0.1, rates=model.rates)
         assert np.allclose(got, want, rtol=1e-10)
 
+    def test_zero_length_edges_and_all_gap_sites(self):
+        cases = [
+            ("(A:0.0,B:0.0);", ["C-B", "C--"]),
+            ("((A:0.0,B:0.2):0.0,(C:0.3,D:0.0):0.0);",
+             ["CA-B-", "CAAB-", "C-AC-", "CA-B-"]),
+        ]
+        for newick, rows in cases:
+            tree = parse_newick(newick)
+            matrix = matrix_from_rows("ABCD"[:len(rows)], rows)
+            for p_inv in (0.0, 0.06):
+                model = small_model(p_inv=p_inv)
+                got = site_log_likelihoods(tree, model, matrix)
+                want = oracles.enumeration_log_likelihoods(
+                    tree.adjacency, leaf_symbol_map(tree, matrix),
+                    model.alphabet, model.freqs, p_inv=p_inv)
+                assert np.allclose(got, want, rtol=1e-10)
+
     def test_five_leaf_trees_random_sites(self):
         model = small_model()
         rng = np.random.default_rng(7)
@@ -283,6 +300,14 @@ class TestLikelihoodProperties:
                                  matrix.concept_bounds)
         res = total_log_likelihood(tree, small_model(), matrix)
         assert np.isfinite(res.total_log_likelihood)
+
+
+def site_conditionals(tree, model, matrix, site):
+    """Unscaled per-state conditional likelihoods of one site at the default
+    virtual root, read from a fresh cache (variable component, one rate)."""
+    cache = PartialCache(tree, model, prepare_sites(model, matrix))
+    ((value, logs),) = cache.partial(_default_root(tree))
+    return value[:, site] * np.exp(logs[site])
 
 
 class TestSiteConditionals:

@@ -12,7 +12,6 @@ from relate.soundclass import (
     default_alphabet,
     encode_form,
     encode_segments,
-    export_extended_alphabet,
     load_alphabet,
     tokenize_form,
 )
@@ -65,17 +64,6 @@ class TestEncode:
         assert encode_segments(["bh", "a", "d"], ALPHABET) == ("P", "T")
 
 
-class TestExtendedAlphabet:
-    def test_j_becomes_i(self):
-        assert export_extended_alphabet(("J", "R")) == ("I", "R")
-
-    def test_sequences_without_j_unchanged(self):
-        assert export_extended_alphabet(("K", "R", "S")) == ("K", "R", "S")
-
-    def test_empty(self):
-        assert export_extended_alphabet(()) == ()
-
-
 class TestDefaultAlphabet:
     def test_exactly_the_ten_classes(self):
         assert ALPHABET.classes == DOLGO_CLASSES == ("P", "T", "S", "K", "M",
@@ -121,10 +109,3 @@ def test_encode_form_properties(form):
     assert VOWEL not in encoded
     assert ALPHABET.gap_symbol not in encoded
 
-
-@given(st.lists(st.sampled_from(DOLGO_CLASSES), max_size=8))
-def test_extended_alphabet_only_touches_j(seq):
-    out = export_extended_alphabet(tuple(seq))
-    assert len(out) == len(seq)
-    for before, after in zip(seq, out):
-        assert after == ("I" if before == "J" else before)

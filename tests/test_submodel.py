@@ -26,8 +26,12 @@ class TestBuildModel:
     def test_normalization_constraint(self):
         matrix = matrix_from_rows(["a", "b"], [list("KKRRS"), list("RRSKR")])
         model = build_model(matrix, pseudocount=0.5)
-        q = model.rate_matrix()
+        q = oracles.rate_matrix(model.freqs)
         assert float(model.freqs @ np.diag(q)) == pytest.approx(-1.0, abs=1e-12)
+        # The model's mu is the oracle's normalizing scale: q_ij = mu * pi_j.
+        off = ~np.eye(model.n_states, dtype=bool)
+        scaled = np.tile(model.mu * model.freqs, (model.n_states, 1))
+        np.testing.assert_allclose(q[off], scaled[off], rtol=1e-12)
 
     def test_observed_counts_without_smoothing(self):
         rows = [list("KKKRR"), list("RRRSS")]

@@ -10,7 +10,7 @@ quartet-distance module scores inferred trees against references.
 __version__ = "0.1.0"
 
 from .errors import RelateError
-from .lexdata import FilterPolicy, IngestConfig, LexEntry, Wordlist, parse_wordlist
+from .lexdata import FilterPolicy, LexEntry, Wordlist, parse_wordlist
 from .lrt import LrtConfig, LrtReport, run_lrt
 from .mlsearch import MlFit, SearchConfig, ml_tree
 from .msa import AlignScoring, CharacterMatrix, build_character_matrix
@@ -27,7 +27,6 @@ __all__ = [
     "ClassAlphabet",
     "FilterPolicy",
     "GoldTree",
-    "IngestConfig",
     "LexEntry",
     "LrtConfig",
     "LrtReport",

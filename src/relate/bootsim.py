@@ -31,21 +31,16 @@ class SimConfig:
     """Replicate shape and seeding.
 
     ``n_sites`` defaults to the template's site count and may only differ
-    when the gap mask is not retained. ``p_inv_override`` substitutes the
-    model's invariant proportion (it may be 1.0, unlike a model's), which
-    lets diagnostics force the invariant branch of the sampler.
+    when the gap mask is not retained.
     """
 
     seed: int = 42
     retain_gap_mask: bool = True
     n_sites: int | None = None
-    p_inv_override: float | None = None
 
     def __post_init__(self):
         if self.n_sites is not None and self.n_sites < 1:
             raise ValueError("n_sites must be at least 1")
-        if self.p_inv_override is not None and not 0.0 <= self.p_inv_override <= 1.0:
-            raise ValueError("p_inv override must lie in [0, 1]")
 
 
 def _stationary_draw(rng: np.random.Generator, freqs: np.ndarray, n: int) -> np.ndarray:
@@ -59,14 +54,11 @@ def simulate_sites(
     model: SubstitutionModel,
     n_sites: int,
     rng: np.random.Generator,
-    p_inv: float | None = None,
 ) -> dict[str, np.ndarray]:
     """Draw state indices for every leaf; returns {taxon: (n_sites,) ints}."""
-    if p_inv is None:
-        p_inv = model.p_inv
     n_cats = len(model.rates)
 
-    inv_mask = rng.random(n_sites) < p_inv
+    inv_mask = rng.random(n_sites) < model.p_inv
     inv_states = _stationary_draw(rng, model.freqs, n_sites)
     if n_cats > 1:
         cats = rng.integers(0, n_cats, size=n_sites)
@@ -128,9 +120,7 @@ def simulate_matrix(
         )
 
     rng = np.random.default_rng(config.seed)
-    leaf_states = simulate_sites(
-        tree, model, n_sites, rng, p_inv=config.p_inv_override
-    )
+    leaf_states = simulate_sites(tree, model, n_sites, rng)
     symbols = np.array(model.alphabet, dtype="<U1")
     rows = np.empty((len(template.taxa), n_sites), dtype="<U1")
     for t, taxon in enumerate(template.taxa):

@@ -3,7 +3,13 @@
 Everything raised on bad input derives from :class:`RelateError` so callers
 (and the command line driver) can distinguish data problems (exit code 1)
 from numerical failures (:class:`NumericalUnderflowError`, exit code 2).
+:func:`read_text` decodes text inputs, so that invalid UTF-8 is a
+:class:`ParseError` too.
 """
+
+from __future__ import annotations
+
+from typing import IO
 
 
 class RelateError(Exception):
@@ -24,6 +30,18 @@ class ParseError(RelateError):
         super().__init__(message)
         self.line = line
         self.position = position
+
+
+def read_text(source: IO | bytes | str, what: str) -> str:
+    """The text of a text or byte stream, raw bytes, or a string. Bytes
+    that are not valid UTF-8 raise :class:`ParseError` naming ``what``."""
+    raw = source if isinstance(source, (bytes, str)) else source.read()
+    if isinstance(raw, bytes):
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{what} is not valid UTF-8: {exc}") from exc
+    return raw
 
 
 class SchemaError(RelateError):

@@ -19,11 +19,21 @@ from .errors import (
     ParseError,
     SchemaError,
     UnknownSegmentError,
+    read_text,
 )
 
 #: Annotation flags recognized on entries. LOAN comes from the 0/1 LOAN
 #: column; the rest come from the free TAG column.
 KNOWN_FLAGS = frozenset({"LOAN", "ONOMATOPOEIA", "NURSERY", "SHORT"})
+
+#: Column names of the tab-separated wordlist format.
+LANGUAGE_COL = "LANGUAGE"
+CONCEPT_COL = "CONCEPT"
+FORM_COL = "FORM"
+SEGMENTS_COL = "SEGMENTS"
+LOAN_COL = "LOAN"
+TAG_COL = "TAG"
+CORE_RANK_COL = "CORE_RANK"
 
 
 @dataclass(frozen=True)
@@ -89,37 +99,22 @@ class Wordlist:
             slots.setdefault((entry.language, entry.concept), []).append(entry)
         return slots
 
-
-@dataclass(frozen=True)
-class IngestConfig:
-    """Column names and delimiter for :func:`parse_wordlist`."""
-
-    delimiter: str = "\t"
-    language_col: str = "LANGUAGE"
-    concept_col: str = "CONCEPT"
-    form_col: str = "FORM"
-    segments_col: str = "SEGMENTS"
-    loan_col: str = "LOAN"
-    tag_col: str = "TAG"
-    core_rank_col: str = "CORE_RANK"
-
-
-def _decode(source: IO | bytes | str) -> str:
-    if isinstance(source, bytes):
-        raw: bytes | str = source
-    elif isinstance(source, str):
-        raw = source
-    else:
-        raw = source.read()
-    if isinstance(raw, bytes):
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"wordlist is not valid UTF-8: {exc}") from exc
-    return raw
+    def entry_by_slot(self) -> dict[tuple[str, str], LexEntry]:
+        """The entry of every filled slot. Alignment and the permutation
+        test compare one word per language and concept, so a slot holding
+        two forms raises :class:`SchemaError` naming it."""
+        slots = {}
+        for (language, concept), entries in self.entries_by_slot().items():
+            if len(entries) > 1:
+                raise SchemaError(
+                    f"{language!r} / {concept!r} holds {len(entries)} forms; "
+                    f"reduce to one per slot first"
+                )
+            slots[(language, concept)] = entries[0]
+        return slots
 
 
-def parse_wordlist(source: IO | bytes | str, config: IngestConfig = IngestConfig()) -> Wordlist:
+def parse_wordlist(source: IO | bytes | str) -> Wordlist:
     """Parse a TSV wordlist.
 
     LANGUAGE, CONCEPT and FORM columns are required; SEGMENTS (space
@@ -129,16 +124,16 @@ def parse_wordlist(source: IO | bytes | str, config: IngestConfig = IngestConfig
     :class:`ParseError` (with a line number) for malformed rows, and
     :class:`EmptyInputError` for an input with no data rows.
     """
-    text = _decode(source)
+    text = read_text(source, "wordlist")
     lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:
         raise EmptyInputError("wordlist is empty")
 
-    rows = list(csv.reader(lines, delimiter=config.delimiter))
+    rows = list(csv.reader(lines, delimiter="\t"))
     header = [h.strip() for h in rows[0]]
-    required = [config.language_col, config.concept_col, config.form_col]
+    required = [LANGUAGE_COL, CONCEPT_COL, FORM_COL]
     missing = [col for col in required if col not in header]
     if missing:
         raise SchemaError(f"wordlist lacks required columns {missing}; header is {header}")
@@ -159,25 +154,25 @@ def parse_wordlist(source: IO | bytes | str, config: IngestConfig = IngestConfig
             raise ParseError(
                 f"expected {len(header)} fields, found {len(row)}", line=lineno
             )
-        language = get(row, config.language_col)
-        concept = get(row, config.concept_col)
-        form = get(row, config.form_col)
+        language = get(row, LANGUAGE_COL)
+        concept = get(row, CONCEPT_COL)
+        form = get(row, FORM_COL)
         if not language or not concept or not form:
             raise ParseError("empty LANGUAGE, CONCEPT or FORM field", line=lineno)
 
         segments: tuple[str, ...] | None = None
-        raw_segments = get(row, config.segments_col)
+        raw_segments = get(row, SEGMENTS_COL)
         if raw_segments:
             segments = tuple(raw_segments.split())
 
         flags = set()
-        raw_loan = get(row, config.loan_col)
+        raw_loan = get(row, LOAN_COL)
         if raw_loan:
             if raw_loan not in ("0", "1"):
                 raise ParseError(f"LOAN must be 0 or 1, got {raw_loan!r}", line=lineno)
             if raw_loan == "1":
                 flags.add("LOAN")
-        raw_tags = get(row, config.tag_col)
+        raw_tags = get(row, TAG_COL)
         if raw_tags:
             for tag in raw_tags.split(","):
                 tag = tag.strip().upper()
@@ -188,7 +183,7 @@ def parse_wordlist(source: IO | bytes | str, config: IngestConfig = IngestConfig
                 flags.add(tag)
 
         core_rank: int | None = None
-        raw_rank = get(row, config.core_rank_col)
+        raw_rank = get(row, CORE_RANK_COL)
         if raw_rank:
             try:
                 core_rank = int(raw_rank)

@@ -169,7 +169,6 @@ def run_lrt(
     matrix: CharacterMatrix,
     config: LrtConfig = LrtConfig(),
     alphabet=None,
-    pseudocount: float = 0.5,
 ) -> LrtReport:
     """Run the full paired-bootstrap likelihood-ratio test.
 
@@ -186,7 +185,7 @@ def run_lrt(
     if len(matrix.taxa) < 3:
         raise InsufficientDataError("the test needs at least 3 taxa")
     # Start trees depend on the frequencies only, not on p_inv.
-    freq_model = build_model(matrix, pseudocount=pseudocount, alphabet=alphabet)
+    freq_model = build_model(matrix, alphabet=alphabet)
     data_fits: list[tuple[list[Phylogeny], tuple[MlFit, MlFit]]] = []
     runs = []
     for j in range(1, config.k + 1):
@@ -200,29 +199,18 @@ def run_lrt(
             if earlier is not None:
                 fit_null, fit_alt = (replace(fit, tree=fit.tree.copy()) for fit in earlier)
             else:
-                fit_null = ml_tree(
-                    matrix, config.p_inv_null, search_j,
-                    alphabet=alphabet, pseudocount=pseudocount,
-                )
-                fit_alt = ml_tree(
-                    matrix, config.p_inv_alt, search_j,
-                    alphabet=alphabet, pseudocount=pseudocount,
-                )
+                fit_null = ml_tree(matrix, config.p_inv_null, search_j, alphabet=alphabet)
+                fit_alt = ml_tree(matrix, config.p_inv_alt, search_j, alphabet=alphabet)
                 data_fits.append((starts, (fit_null, fit_alt)))
             delta_observed = lrt_statistic(fit_alt, fit_null)
 
             replicate = simulate_matrix(fit_null, matrix, SimConfig(seed=seed_j))
-            rep_null = ml_tree(
-                replicate, config.p_inv_null, search_j,
-                alphabet=alphabet, pseudocount=pseudocount,
-            )
-            rep_alt = ml_tree(
-                replicate, config.p_inv_alt, search_j,
-                alphabet=alphabet, pseudocount=pseudocount,
-            )
+            rep_null = ml_tree(replicate, config.p_inv_null, search_j, alphabet=alphabet)
+            rep_alt = ml_tree(replicate, config.p_inv_alt, search_j, alphabet=alphabet)
             delta_null = lrt_statistic(rep_alt, rep_null)
-        except RelateError as exc:
-            raise RelateError(f"LRT run {j} of {config.k} failed: {exc}") from exc
+        except RelateError:
+            logger.error("LRT run %d of %d failed", j, config.k)
+            raise
         logger.debug(
             "run %d: delta_obs=%.4f delta_null=%.4f", j, delta_observed, delta_null
         )

@@ -39,24 +39,33 @@ from .submodel import SubstitutionModel, build_model
 
 logger = logging.getLogger(__name__)
 
+#: Branch-length sweeps stop when a full sweep gains less than
+#: ``_LL_TOLERANCE`` log likelihood, or after ``_MAX_SWEEPS`` sweeps; each
+#: edge is optimized to ``_BL_TOLERANCE`` in length.
 _MAX_SWEEPS = 50
+_LL_TOLERANCE = 1e-4
+_BL_TOLERANCE = 1e-6
+
+#: NNI rounds stop when no move improves, or after this many.
+_MAX_NNI_ROUNDS = 200
+
+#: :func:`ml_tree_estimated` starts p_inv here, alternates tree search and
+#: profiling this many times, and gives the gamma this many categories.
+_P_INV_START = 0.06
+_OUTER_ROUNDS = 2
+_GAMMA_CATS = 2
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs of the heuristic search."""
+    """Seeding and restarts of the heuristic search."""
 
     seed: int = 42
-    max_nni_rounds: int = 200
-    bl_tolerance: float = 1e-6
-    ll_tolerance: float = 1e-4
     random_restarts: int = 1
 
     def __post_init__(self):
-        if self.max_nni_rounds < 0 or self.random_restarts < 1:
-            raise ValueError("bad search configuration")
-        if self.bl_tolerance <= 0 or self.ll_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.random_restarts < 1:
+            raise ValueError("random_restarts must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -193,7 +202,6 @@ def _optimize_edge(
     prep: SitePrep,
     u: int,
     v: int,
-    tolerance: float,
     cache: phylik.PartialCache | None = None,
 ) -> float:
     """Maximize the likelihood over one branch length in place.
@@ -210,7 +218,7 @@ def _optimize_edge(
         lambda t: -fn(t),
         bounds=(MIN_BRANCH_LENGTH, MAX_BRANCH_LENGTH),
         method="bounded",
-        options={"xatol": tolerance},
+        options={"xatol": _BL_TOLERANCE},
     )
     # The bounded method never lands exactly on an endpoint, so boundary
     # optima (identical or saturated sequences) must be checked directly.
@@ -229,11 +237,10 @@ def optimize_branch_lengths(
     tree: Phylogeny,
     model: SubstitutionModel,
     source: CharacterMatrix | SitePrep,
-    config: SearchConfig = SearchConfig(),
     cache: phylik.PartialCache | None = None,
 ) -> tuple[Phylogeny, float]:
     """Sweep all edges with bounded one-dimensional optimization until a
-    full sweep gains less than ``ll_tolerance``, or for at most
+    full sweep gains less than ``_LL_TOLERANCE``, or for at most
     ``_MAX_SWEEPS`` sweeps, with a warning when the cap stops it. Returns a
     new tree and its log likelihood; the input tree is untouched. A ``cache`` of the input
     tree moves to the returned tree and is kept current with it."""
@@ -247,14 +254,14 @@ def optimize_branch_lengths(
     for _ in range(_MAX_SWEEPS):
         gain = 0.0
         for u, v, _length in work.edges():
-            gain += _optimize_edge(work, model, prep, u, v, config.bl_tolerance, cache)
-        if gain < config.ll_tolerance:
+            gain += _optimize_edge(work, model, prep, u, v, cache)
+        if gain < _LL_TOLERANCE:
             break
     else:
         logger.warning(
             "branch lengths not converged at the cap of %d sweeps: the last "
             "sweep gained %.3g log likelihood (tolerance %.3g)",
-            _MAX_SWEEPS, gain, config.ll_tolerance,
+            _MAX_SWEEPS, gain, _LL_TOLERANCE,
         )
     ll = float(phylik.site_log_likelihoods(work, model, prep, cache=cache).sum())
     return work, ll
@@ -286,20 +293,19 @@ def nni_search(
     start: Phylogeny,
     model: SubstitutionModel,
     source: CharacterMatrix | SitePrep,
-    config: SearchConfig = SearchConfig(),
 ) -> MlFit:
     """Hill-climb with nearest-neighbor interchanges.
 
     Each round scores every candidate move after re-optimizing the five
     branch lengths around the swapped edge, applies the best strictly
     improving one (ties to the lowest edge index), then re-optimizes all
-    branch lengths. Stops when no move improves, or at ``max_nni_rounds``.
+    branch lengths. Stops when no move improves, or at ``_MAX_NNI_ROUNDS``.
     """
     prep = source if isinstance(source, SitePrep) else prepare_sites(model, source)
     cache = phylik.PartialCache(start, model, prep)
-    tree, ll = optimize_branch_lengths(start, model, prep, config, cache=cache)
+    tree, ll = optimize_branch_lengths(start, model, prep, cache=cache)
     trace = [(0, ll)]
-    for round_no in range(1, config.max_nni_rounds + 1):
+    for round_no in range(1, _MAX_NNI_ROUNDS + 1):
         best_ll = ll
         best_tree = best_cache = None
         for _edge_index, u, x, v, y in _nni_candidates(tree):
@@ -310,7 +316,7 @@ def nni_search(
             local += [(u, n) for n in candidate.neighbors(u) if n != v]
             local += [(v, n) for n in candidate.neighbors(v) if n != u]
             for a, b in local:
-                _optimize_edge(candidate, model, prep, a, b, config.bl_tolerance, cand_cache)
+                _optimize_edge(candidate, model, prep, a, b, cand_cache)
             cand_ll = float(
                 phylik.site_log_likelihoods(candidate, model, prep, cache=cand_cache).sum()
             )
@@ -319,7 +325,7 @@ def nni_search(
                 best_tree, best_cache = candidate, cand_cache
         if best_tree is None:
             break
-        tree, ll = optimize_branch_lengths(best_tree, model, prep, config, cache=best_cache)
+        tree, ll = optimize_branch_lengths(best_tree, model, prep, cache=best_cache)
         cache = best_cache
         if ll < best_ll:
             tree, ll = best_tree, best_ll
@@ -334,9 +340,7 @@ def ml_tree(
     config: SearchConfig = SearchConfig(),
     gamma_shape: float | None = None,
     n_rate_cats: int = 1,
-    pseudocount: float = 0.5,
     alphabet=None,
-    equal_freqs: bool = False,
 ) -> MlFit:
     """Fit a tree under a fixed ``p_inv`` (and optional gamma rates).
 
@@ -353,14 +357,12 @@ def ml_tree(
         p_inv=p_inv,
         gamma_shape=gamma_shape,
         n_rate_cats=n_rate_cats,
-        pseudocount=pseudocount,
         alphabet=alphabet,
-        equal_freqs=equal_freqs,
     )
     prep = prepare_sites(model, matrix)
     best: MlFit | None = None
     for start in start_trees(matrix, model, config):
-        fit = nni_search(start, model, prep, config)
+        fit = nni_search(start, model, prep)
         if best is None or fit.log_likelihood > best.log_likelihood:
             best = fit
     return best
@@ -370,11 +372,7 @@ def ml_tree_estimated(
     matrix: CharacterMatrix,
     config: SearchConfig = SearchConfig(),
     use_gamma: bool = False,
-    n_rate_cats: int = 2,
-    pseudocount: float = 0.5,
     alphabet=None,
-    p_inv_start: float = 0.06,
-    outer_rounds: int = 2,
 ) -> MlFit:
     """Fit with ``p_inv`` (and optionally a gamma shape) estimated.
 
@@ -382,15 +380,14 @@ def ml_tree_estimated(
     one-dimensional profile optimization of p_inv over [0, 0.5] (and of the
     gamma shape over [0.05, 20] on a log scale) against the fixed tree.
     """
-    p_inv = p_inv_start
+    p_inv = _P_INV_START
     shape = 1.0 if use_gamma else None
-    cats = n_rate_cats if use_gamma else 1
+    cats = _GAMMA_CATS if use_gamma else 1
     fit = None
-    for _ in range(outer_rounds):
+    for _ in range(_OUTER_ROUNDS):
         fit = ml_tree(
             matrix, p_inv, config,
-            gamma_shape=shape, n_rate_cats=cats,
-            pseudocount=pseudocount, alphabet=alphabet,
+            gamma_shape=shape, n_rate_cats=cats, alphabet=alphabet,
         )
         prep = prepare_sites(fit.model, matrix)
         # Only the invariant mixture depends on p_inv: prune once per round.
@@ -420,7 +417,6 @@ def ml_tree_estimated(
 
     final = ml_tree(
         matrix, p_inv, config,
-        gamma_shape=shape, n_rate_cats=cats,
-        pseudocount=pseudocount, alphabet=alphabet,
+        gamma_shape=shape, n_rate_cats=cats, alphabet=alphabet,
     )
     return final

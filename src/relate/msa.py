@@ -524,13 +524,7 @@ def build_character_matrix(
     """
     if alphabet is None:
         alphabet = soundclass.default_alphabet()
-    slots = wl.entries_by_slot()
-    for (language, concept), entries in slots.items():
-        if len(entries) > 1:
-            raise SchemaError(
-                f"{language!r} / {concept!r} holds {len(entries)} forms; "
-                f"reduce to one per slot first"
-            )
+    slots = wl.entry_by_slot()
     if len(wl.languages) < 2:
         raise InsufficientDataError("need at least 2 languages")
     populated = {e.language for e in wl.entries}
@@ -543,11 +537,8 @@ def build_character_matrix(
     for concept in wl.concepts:
         seqs = []
         for language in wl.languages:
-            entries = slots.get((language, concept))
-            if not entries:
-                seqs.append(())
-                continue
-            seqs.append(entries[0].encode(alphabet))
+            entry = slots.get((language, concept))
+            seqs.append(() if entry is None else entry.encode(alphabet))
         if not any(seqs):
             logger.warning("concept %r has no encodable word; skipped", concept)
             continue

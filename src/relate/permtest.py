@@ -34,6 +34,7 @@ from .errors import (
     InsufficientDataError,
     ParseError,
     SchemaError,
+    read_text,
 )
 from .lexdata import Wordlist
 from .soundclass import ClassAlphabet
@@ -86,13 +87,7 @@ def load_external_table(source: IO | bytes | str) -> dict[tuple[str, str, str, s
     Columns LANG_A, WORD_A, LANG_B, WORD_B, DIST. Both orientations of each
     pair are stored so lookups need not worry about order.
     """
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        raw = source.read()
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+    text = read_text(source, "distance table")
     if not text.strip():
         raise EmptyInputError("distance table is empty")
     reader = csv.reader(io.StringIO(text), delimiter="\t")
@@ -153,13 +148,7 @@ class _Engine:
         self.metric = metric
         self.languages = wl.languages
         self.concepts = wl.concepts
-        slots = wl.entries_by_slot()
-        for (language, concept), entries in slots.items():
-            if len(entries) > 1:
-                raise SchemaError(
-                    f"{language!r} / {concept!r} holds {len(entries)} forms; "
-                    f"reduce to one per slot first"
-                )
+        slots = wl.entry_by_slot()
 
         self.slot_word: dict[str, np.ndarray] = {}
         self.attested: dict[str, np.ndarray] = {}
@@ -175,10 +164,9 @@ class _Engine:
             firsts: list[int] = []
             seconds: list[int] = []
             for c, concept in enumerate(wl.concepts):
-                entries = slots.get((language, concept))
-                if not entries:
+                entry = slots.get((language, concept))
+                if entry is None:
                     continue
-                entry = entries[0]
                 pointers[c] = len(forms)
                 forms.append(entry.form)
                 if metric.name != EXTERNAL:

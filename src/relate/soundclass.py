@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import IO, Iterable
 
-from .errors import EmptyInputError, SchemaError, UnknownSegmentError
+from .errors import EmptyInputError, SchemaError, UnknownSegmentError, read_text
 
 #: Marker for vowel segments; never appears in an encoded sequence.
 VOWEL = "V"
@@ -36,18 +36,17 @@ class ClassAlphabet:
     """A consonant-class alphabet together with its segment table.
 
     ``classes`` lists the distinct class symbols; ``segment_map`` sends each
-    known segment to a class symbol or to :data:`VOWEL`. The gap symbol is
-    reserved and may not be a class.
+    known segment to a class symbol or to :data:`VOWEL`. The gap symbol
+    :data:`GAP` is reserved and may not be a class.
     """
 
     classes: tuple[str, ...]
     segment_map: dict[str, str]
-    gap_symbol: str = GAP
 
     def __post_init__(self):
         if len(set(self.classes)) != len(self.classes):
             raise SchemaError("class symbols must be distinct")
-        if self.gap_symbol in self.classes or VOWEL in self.classes:
+        if GAP in self.classes or VOWEL in self.classes:
             raise SchemaError("gap and vowel markers may not be class symbols")
         allowed = set(self.classes) | {VOWEL}
         for segment, symbol in self.segment_map.items():
@@ -128,13 +127,7 @@ def load_alphabet(source: IO | bytes | str) -> ClassAlphabet:
     vowel marker ``V``. Classes are ordered canonically when they are a
     subset of the default ten, alphabetically otherwise.
     """
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        raw = source.read()
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+    text = read_text(source, "segment table")
     if not text.strip():
         raise EmptyInputError("segment table is empty")
     reader = csv.reader(io.StringIO(text), delimiter="\t")

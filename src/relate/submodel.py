@@ -29,6 +29,10 @@ from .soundclass import GAP
 #: Frequencies are validated to sum to one within this tolerance.
 FREQ_TOL = 1e-12
 
+#: Added to every state's count when estimating frequencies, so a state the
+#: data never show keeps a positive frequency.
+PSEUDOCOUNT = 0.5
+
 
 def gamma_categories(shape: float, n_cats: int) -> tuple[float, ...]:
     """Mean rate multiplier of each of ``n_cats`` equal-probability bins
@@ -144,20 +148,16 @@ def build_model(
     p_inv: float = 0.0,
     gamma_shape: float | None = None,
     n_rate_cats: int = 1,
-    pseudocount: float = 0.5,
     alphabet: Sequence[str] | None = None,
-    equal_freqs: bool = False,
 ) -> SubstitutionModel:
     """Estimate stationary frequencies from a matrix and assemble a model.
 
     Frequencies are smoothed symbol counts over the non-gap cells:
-    (count + pseudocount) / (total + n_states * pseudocount). ``alphabet``
+    (count + PSEUDOCOUNT) / (total + n_states * PSEUDOCOUNT). ``alphabet``
     defaults to the symbols observed in the matrix, sorted; pass the full
     class alphabet explicitly when unobserved classes must stay in the
     state space.
     """
-    if pseudocount < 0:
-        raise ValueError("pseudocount must be non-negative")
     observed = sorted(str(s) for s in set(matrix.cells.ravel()) - {GAP})
     if alphabet is None:
         states = tuple(observed)
@@ -169,17 +169,10 @@ def build_model(
     if len(states) < 2:
         raise SchemaError("need at least 2 states; supply a larger alphabet")
 
-    if equal_freqs:
-        freqs = np.full(len(states), 1.0 / len(states))
-    else:
-        flat = matrix.cells.ravel()
-        counts = np.array([np.count_nonzero(flat == s) for s in states], dtype=float)
-        total = counts.sum() + pseudocount * len(states)
-        freqs = (counts + pseudocount) / total
-        if np.any(freqs <= 0):
-            raise ValueError(
-                "a state was never observed; use a positive pseudocount"
-            )
+    flat = matrix.cells.ravel()
+    counts = np.array([np.count_nonzero(flat == s) for s in states], dtype=float)
+    total = counts.sum() + PSEUDOCOUNT * len(states)
+    freqs = (counts + PSEUDOCOUNT) / total
     freqs /= freqs.sum()
     mu = 1.0 / (1.0 - float(freqs @ freqs))
     return SubstitutionModel(

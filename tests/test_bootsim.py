@@ -11,6 +11,10 @@ from relate.mlsearch import MlFit
 from relate.phylik import parse_newick
 from relate.soundclass import GAP
 
+#: A model's invariant share is below one; at this one a site is variable
+#: with probability 1e-12.
+ALMOST_ONE = 1.0 - 1e-12
+
 
 def make_fit(newick: str, model) -> MlFit:
     tree = parse_newick(newick)
@@ -19,9 +23,9 @@ def make_fit(newick: str, model) -> MlFit:
 
 class TestSimulateSites:
     def test_forced_invariant_sites_are_constant(self):
-        model = random_freq_model(4, seed=0)
+        model = random_freq_model(4, seed=0, p_inv=ALMOST_ONE)
         tree = parse_newick("((A:0.5,B:0.5):0.3,(C:0.5,D:0.5):0.3);")
-        states = simulate_sites(tree, model, 200, np.random.default_rng(1), p_inv=1.0)
+        states = simulate_sites(tree, model, 200, np.random.default_rng(1))
         stacked = np.stack([states[t] for t in sorted(states)])
         assert (stacked == stacked[0]).all()
 
@@ -29,7 +33,7 @@ class TestSimulateSites:
         model = random_freq_model(5, seed=1)
         tree = parse_newick("((A:0,B:0):0,(C:0,D:0):0);")
         seed = 7
-        states = simulate_sites(tree, model, 300, np.random.default_rng(seed), p_inv=0.0)
+        states = simulate_sites(tree, model, 300, np.random.default_rng(seed))
 
         # Replay the documented draw order: invariant mask, invariant
         # states, then the stationary root draw (one rate category, so no
@@ -47,7 +51,7 @@ class TestSimulateSites:
         t = 0.35
         tree = parse_newick(f"(A:{t},B:0);")
         n = 100_000
-        states = simulate_sites(tree, model, n, np.random.default_rng(3), p_inv=0.0)
+        states = simulate_sites(tree, model, n, np.random.default_rng(3))
         observed = float(np.mean(states["A"] != states["B"]))
         p_matrix = expm_transition(model.freqs, t)
         expected = 1.0 - float(model.freqs @ np.diag(p_matrix))
@@ -59,7 +63,7 @@ class TestSimulateSites:
         t = 0.4
         tree = parse_newick(f"(A:{t},B:0);")
         n = 100_000
-        states = simulate_sites(tree, model, n, np.random.default_rng(4), p_inv=0.0)
+        states = simulate_sites(tree, model, n, np.random.default_rng(4))
         observed = float(np.mean(states["A"] != states["B"]))
         expected = 0.0
         for rate in model.rates:
@@ -97,8 +101,8 @@ class TestSimulateMatrix:
             [list("KR-S"), list("K-RS"), list("KRRS")],
             bounds=[("c0", 0, 2), ("c1", 2, 4)])
 
-    def fit_for(self, template, seed=0):
-        model = random_freq_model(4, seed=seed)
+    def fit_for(self, template, seed=0, p_inv=0.0):
+        model = random_freq_model(4, seed=seed, p_inv=p_inv)
         return make_fit("(A:0.3,B:0.2,C:0.4);", model)
 
     def test_gap_mask_carries_over_exactly(self):
@@ -125,8 +129,7 @@ class TestSimulateMatrix:
     def test_forced_invariant_replicate_is_constant_before_masking(self):
         template = self.template()
         rep = simulate_matrix(
-            self.fit_for(template), template,
-            SimConfig(seed=4, p_inv_override=1.0))
+            self.fit_for(template, p_inv=ALMOST_ONE), template, SimConfig(seed=4))
         for col in rep.cells.T:
             symbols = set(col) - {GAP}
             assert len(symbols) <= 1
@@ -166,10 +169,6 @@ class TestSimulateMatrix:
     def test_config_domain(self):
         with pytest.raises(ValueError):
             SimConfig(n_sites=0)
-        with pytest.raises(ValueError):
-            SimConfig(p_inv_override=1.5)
-        with pytest.raises(ValueError):
-            SimConfig(p_inv_override=-0.1)
 
 
 class TestApplyGapMask:

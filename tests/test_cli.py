@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from helpers import related_wordlist_rows, wordlist_text
-from relate.cli import EXIT_INPUT, EXIT_OK, main
+import relate.lrt
+from relate.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
+from relate.errors import NumericalUnderflowError
 from relate.msa import CharacterMatrix
 
 
@@ -75,6 +77,16 @@ class TestLrtCommand:
                    "--out", str(tmp_path / "r.json")])
         assert rc == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
+
+    def test_underflow_in_a_run_exits_2(self, tmp_path, wordlist_path, monkeypatch, capsys):
+        def underflow(*args, **kwargs):
+            raise NumericalUnderflowError("site 3 has zero likelihood")
+
+        monkeypatch.setattr(relate.lrt, "ml_tree", underflow)
+        rc = main(["lrt", "--wordlist", wordlist_path, "--k", "2",
+                   "--out", str(tmp_path / "r.json")])
+        assert rc == EXIT_NUMERIC
+        assert "error: site 3 has zero likelihood" in capsys.readouterr().err
 
 
 class TestPermtestCommand:

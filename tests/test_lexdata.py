@@ -6,7 +6,6 @@ from helpers import wordlist_text
 from relate.errors import EmptyInputError, ParseError, SchemaError, UnknownSegmentError
 from relate.lexdata import (
     FilterPolicy,
-    IngestConfig,
     LexEntry,
     Wordlist,
     filter_forms,
@@ -108,12 +107,9 @@ class TestParseWordlist:
         wl = parse_wordlist(text)
         assert wl.entries[0].form == "cornu"
 
-    def test_custom_column_names(self):
-        config = IngestConfig(language_col="DOCULECT", concept_col="GLOSS",
-                              form_col="VALUE")
-        text = "DOCULECT\tGLOSS\tVALUE\nLatin\thorn\tcornu\n"
-        wl = parse_wordlist(text, config)
-        assert wl.languages == ("Latin",)
+    def test_invalid_utf8_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="wordlist is not valid UTF-8"):
+            parse_wordlist(b"LANGUAGE\tCONCEPT\tFORM\nLatin\thorn\t\xff\n")
 
 
 def make_wordlist(*entries: LexEntry) -> Wordlist:

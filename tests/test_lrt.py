@@ -8,7 +8,7 @@ import pytest
 import relate.lrt
 from helpers import random_freq_model
 from oracles import t_upper_tail
-from relate.errors import InsufficientDataError
+from relate.errors import InsufficientDataError, NumericalUnderflowError
 from relate.lrt import (
     NOT_SUPPORTED,
     RELATED,
@@ -20,7 +20,7 @@ from relate.lrt import (
     run_lrt,
 )
 from relate.bootsim import simulate_sites
-from relate.mlsearch import SearchConfig, ml_tree, start_trees
+from relate.mlsearch import ml_tree, start_trees
 from relate.msa import CharacterMatrix
 from relate.phylik import parse_newick, write_newick
 from relate.submodel import build_model
@@ -124,7 +124,7 @@ def small_matrix(
 
 class TestRunLrt:
     def config(self, seed=42):
-        return LrtConfig(k=2, seed=seed, search=SearchConfig(max_nni_rounds=5))
+        return LrtConfig(k=2, seed=seed)
 
     def test_needs_three_taxa(self):
         matrix = small_matrix()
@@ -132,6 +132,15 @@ class TestRunLrt:
             matrix.taxa[:2], matrix.cells[:2], matrix.concept_bounds)
         with pytest.raises(InsufficientDataError):
             run_lrt(two, self.config())
+
+    def test_a_failed_run_keeps_its_error_type(self, monkeypatch, caplog):
+        def underflow(*args, **kwargs):
+            raise NumericalUnderflowError("site 3 has zero likelihood")
+
+        monkeypatch.setattr(relate.lrt, "ml_tree", underflow)
+        with pytest.raises(NumericalUnderflowError, match="site 3"):
+            run_lrt(small_matrix(), self.config())
+        assert "LRT run 1 of 2 failed" in caplog.text
 
     def test_run_seeds_follow_the_stride(self):
         report = run_lrt(small_matrix(), self.config(seed=100))
@@ -173,7 +182,7 @@ class TestDataFitReuse:
     """Run j's data fits depend on its seed only through the
     neighbor-joining starts, so equal starts share one pair of fits."""
 
-    config = LrtConfig(k=3, seed=5, search=SearchConfig(max_nni_rounds=5))
+    config = LrtConfig(k=3, seed=5)
 
     def counted_run(self, matrix, monkeypatch):
         data_calls = []
@@ -188,7 +197,7 @@ class TestDataFitReuse:
         return report, data_calls.count(True), data_calls.count(False)
 
     def distinct_starts(self, matrix) -> int:
-        model = build_model(matrix, pseudocount=0.5)
+        model = build_model(matrix)
         seen = []
         for run in range(1, self.config.k + 1):
             search = replace(self.config.search, seed=self.config.seed + run * RUN_SEED_STRIDE)

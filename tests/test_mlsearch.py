@@ -42,26 +42,26 @@ def simulated_matrix(tree, model, n_sites: int, seed: int) -> CharacterMatrix:
 class TestModelDistances:
     def test_identical_rows_have_zero_distance(self):
         m = matrix_from_rows(["a", "b"], [list("KRSKRS"), list("KRSKRS")])
-        model = build_model(m, pseudocount=0.5)
+        model = build_model(m)
         d = model_distances(m, model)
         assert d[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_saturated_rows_are_clamped_to_cap(self):
         m = matrix_from_rows(["a", "b"], [list("KKKK"), list("RRRR")])
-        model = build_model(m, pseudocount=0.5)
+        model = build_model(m)
         d = model_distances(m, model)
         assert d[0, 1] == MAX_BRANCH_LENGTH
 
     def test_shared_gap_sites_excluded(self):
         m = matrix_from_rows(["a", "b"], [list("KR--"), list("KR-S")])
-        model = build_model(m, pseudocount=0.5, alphabet=tuple("KRS"))
+        model = build_model(m, alphabet=tuple("KRS"))
         d = model_distances(m, model)
         assert d[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_symmetric_zero_diagonal(self):
         m = matrix_from_rows(["a", "b", "c"],
                              [list("KRSK"), list("KRNK"), list("TRSK")])
-        model = build_model(m, pseudocount=0.5)
+        model = build_model(m)
         d = model_distances(m, model)
         assert np.allclose(d, d.T)
         assert np.allclose(np.diag(d), 0.0)
@@ -124,7 +124,7 @@ class TestNeighborJoining:
 class TestOptimizeBranchLengths:
     def test_identical_sequences_hit_the_floor(self):
         m = matrix_from_rows(["A", "B"], [list("KRSKRS"), list("KRSKRS")])
-        model = build_model(m, pseudocount=0.5)
+        model = build_model(m)
         tree = parse_newick("(A:0.5,B:0.5);")
         out, _ = optimize_branch_lengths(tree, model, m)
         (u, v, w), = out.edges()
@@ -132,7 +132,7 @@ class TestOptimizeBranchLengths:
 
     def test_maximally_different_sequences_hit_the_cap(self):
         m = matrix_from_rows(["A", "B"], [list("KKKKKK"), list("RRRRRR")])
-        model = build_model(m, pseudocount=0.5)
+        model = build_model(m)
         tree = parse_newick("(A:0.5,B:0.5);")
         out, _ = optimize_branch_lengths(tree, model, m)
         (u, v, w), = out.edges()
@@ -142,7 +142,7 @@ class TestOptimizeBranchLengths:
         m = matrix_from_rows(
             ["A", "B", "C"],
             [list("KRSKRSKKRR"), list("KRSKRNKKRS"), list("TRSKSNKKRS")])
-        model = build_model(m, pseudocount=0.5)
+        model = build_model(m)
         tree = parse_newick("(A:0.1,B:0.1,C:0.1);")
         optimized, ll = optimize_branch_lengths(tree, model, m)
 
@@ -177,7 +177,7 @@ class TestOptimizeBranchLengths:
             ["A", "B", "C", "D"],
             [list("KRSKRSKK"), list("KRSKRNKK"), list("TRSKSNKK"),
              list("TRSSSNKK")])
-        model = build_model(m, pseudocount=0.5)
+        model = build_model(m)
         tree = parse_newick("((A:0.2,B:0.2):0.2,(C:0.2,D:0.2):0.2);")
         before = total_log_likelihood(tree, model, m).total_log_likelihood
         _, after = optimize_branch_lengths(tree, model, m)
@@ -189,7 +189,7 @@ class TestOptimizeBranchLengths:
             [list("KRSKRSKK"), list("KRSKRNKK"), list("TRSKSNKK"),
              list("TRSSSNKK")])
         tree = parse_newick("((A:2.0,B:2.0):2.0,(C:2.0,D:2.0):2.0);")
-        return tree, build_model(m, pseudocount=0.5), m
+        return tree, build_model(m), m
 
     def test_stopping_at_the_sweep_cap_is_logged(self, monkeypatch, caplog):
         tree, model, m = self.four_taxon_case()
@@ -200,7 +200,7 @@ class TestOptimizeBranchLengths:
         assert record.levelno == logging.WARNING
         assert "cap of 1 sweeps" in record.getMessage()
         gain = float(record.getMessage().split("gained ")[1].split()[0])
-        assert gain >= SearchConfig().ll_tolerance
+        assert gain >= mlsearch._LL_TOLERANCE
 
     def test_converging_fit_logs_nothing(self, caplog):
         tree, model, m = self.four_taxon_case()
@@ -219,7 +219,7 @@ class TestNniSearch:
         stable = 0
         for seed in range(5):
             matrix = simulated_matrix(truth, model, 2000, seed=seed)
-            fit_model = build_model(matrix, pseudocount=0.5)
+            fit_model = build_model(matrix)
             fit = nni_search(truth.copy(), fit_model, matrix)
             if len(fit.search_trace) == 1 and gqd(fit.tree, truth).gqd == 0.0:
                 stable += 1
@@ -229,7 +229,7 @@ class TestNniSearch:
         m = matrix_from_rows(
             ["A", "B", "C"],
             [list("KRSKRS"), list("KRNKRS"), list("TRSKRS")])
-        model = build_model(m, pseudocount=0.5)
+        model = build_model(m)
         fit = nni_search(parse_newick("(A:0.1,B:0.1,C:0.1);"), model, m)
         assert fit.tree.n_leaves == 3
         # No internal edge, so no candidate moves: one trace entry.
@@ -243,7 +243,7 @@ class TestNniSearch:
             "((A:0.4,B:0.4):0.3,(C:0.4,D:0.4):0.3,E:0.6);")
         model = random_freq_model(3, seed=5)
         matrix = simulated_matrix(truth, model, 300, seed=11)
-        fit_model = build_model(matrix, pseudocount=0.5)
+        fit_model = build_model(matrix)
         start = random_tree(sorted(matrix.taxa), seed=99)
         fit = nni_search(start, fit_model, matrix)
         lls = [ll for _, ll in fit.search_trace]
@@ -289,7 +289,7 @@ class TestMlTree:
         m = matrix_from_rows(
             ["A", "B", "C", "D"],
             [list("KRSK"), list("KRNK"), list("TRSK"), list("TRSS")])
-        model = build_model(m, pseudocount=0.5)
+        model = build_model(m)
         tree = init_tree(m, model)
         assert sorted(tree.taxa) == ["A", "B", "C", "D"]
 

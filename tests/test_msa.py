@@ -366,7 +366,7 @@ class TestCharacterMatrix:
             ("Latin", "horn", "kornu"), ("Latin", "horn", "kerata"),
             ("English", "horn", "horn"),
         ])
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match="'Latin' / 'horn' holds 2 forms"):
             build_character_matrix(parse_wordlist(text))
 
     def test_determinism(self):

@@ -155,7 +155,7 @@ class TestLanguageDistance:
     def test_multiple_forms_per_slot_are_rejected(self):
         wl = make_wordlist(
             ("A", "c1", "ka"), ("A", "c1", "po"), ("B", "c1", "ko"))
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match="'A' / 'c1' holds 2 forms"):
             language_distance(WordMetric.p1_dolgo(), wl, "A", "B")
 
 
@@ -417,6 +417,8 @@ class TestExternalMetric:
     def test_table_schema_errors(self):
         with pytest.raises(EmptyInputError):
             load_external_table("  \n")
+        with pytest.raises(ParseError, match="distance table is not valid UTF-8"):
+            load_external_table(b"LANG_A\tWORD_A\tLANG_B\tWORD_B\tDIST\nA\t\xff\tB\tko\t0.5\n")
         with pytest.raises(SchemaError):
             load_external_table("LANG_A\tWORD_A\tDIST\nA\tka\t0.5\n")
         with pytest.raises(ParseError):

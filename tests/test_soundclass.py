@@ -5,10 +5,12 @@ import io
 import pytest
 from hypothesis import given, strategies as st
 
-from relate.errors import SchemaError, UnknownSegmentError
+from relate.errors import ParseError, SchemaError, UnknownSegmentError
 from relate.soundclass import (
     DOLGO_CLASSES,
+    GAP,
     VOWEL,
+    ClassAlphabet,
     default_alphabet,
     encode_form,
     encode_segments,
@@ -74,8 +76,10 @@ class TestDefaultAlphabet:
         assert reachable == set(DOLGO_CLASSES)
 
     def test_gap_symbol_not_a_class(self):
-        assert ALPHABET.gap_symbol == "-"
-        assert "-" not in ALPHABET.classes
+        assert GAP == "-"
+        assert GAP not in ALPHABET.classes
+        with pytest.raises(SchemaError):
+            ClassAlphabet(classes=("-", "K"), segment_map={"k": "K"})
 
 
 class TestLoadAlphabet:
@@ -98,6 +102,10 @@ class TestLoadAlphabet:
         with pytest.raises(SchemaError):
             load_alphabet(io.StringIO("SEGMENT\nk\n"))
 
+    def test_invalid_utf8_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="segment table is not valid UTF-8"):
+            load_alphabet(b"SEGMENT\tCLASS\n\xff\tK\n")
+
 
 # Encoding never emits vowels or gaps, and never exceeds the token count.
 @given(st.text(alphabet="ptksmnrwjhaeiou", min_size=1, max_size=12))
@@ -107,5 +115,5 @@ def test_encode_form_properties(form):
     assert len(encoded) <= len(tokens)
     assert all(symbol in ALPHABET.classes for symbol in encoded)
     assert VOWEL not in encoded
-    assert ALPHABET.gap_symbol not in encoded
+    assert GAP not in encoded
 

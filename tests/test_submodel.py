@@ -20,12 +20,12 @@ DOLGO = "PTSKMNRWJH"
 class TestBuildModel:
     def test_uniform_matrix_gives_uniform_frequencies(self):
         matrix = matrix_from_rows(["a", "b"], [list(DOLGO), list(DOLGO)])
-        model = build_model(matrix, pseudocount=0.0)
+        model = build_model(matrix)
         assert np.allclose(model.freqs, 0.1)
 
     def test_normalization_constraint(self):
         matrix = matrix_from_rows(["a", "b"], [list("KKRRS"), list("RRSKR")])
-        model = build_model(matrix, pseudocount=0.5)
+        model = build_model(matrix)
         q = oracles.rate_matrix(model.freqs)
         assert float(model.freqs @ np.diag(q)) == pytest.approx(-1.0, abs=1e-12)
         # The model's mu is the oracle's normalizing scale: q_ij = mu * pi_j.
@@ -33,23 +33,24 @@ class TestBuildModel:
         scaled = np.tile(model.mu * model.freqs, (model.n_states, 1))
         np.testing.assert_allclose(q[off], scaled[off], rtol=1e-12)
 
-    def test_observed_counts_without_smoothing(self):
+    def test_smoothed_observed_counts(self):
         rows = [list("KKKRR"), list("RRRSS")]
         matrix = matrix_from_rows(["a", "b"], rows)
-        model = build_model(matrix, pseudocount=0.0)
+        model = build_model(matrix)
         assert model.alphabet == ("K", "R", "S")
-        assert np.allclose(model.freqs, [0.3, 0.5, 0.2])
+        # (count + 0.5) / (total + 0.5 * n_states), with counts 3, 5, 2.
+        assert np.allclose(model.freqs, [3.5 / 11.5, 5.5 / 11.5, 2.5 / 11.5])
 
     def test_gaps_do_not_count(self):
-        rows = [list("KK--"), list("RR--")]
+        rows = [list("KKK--"), list("R----")]
         matrix = matrix_from_rows(["a", "b"], rows)
-        model = build_model(matrix, pseudocount=0.0)
-        assert np.allclose(model.freqs, [0.5, 0.5])
+        model = build_model(matrix)
+        assert np.allclose(model.freqs, [3.5 / 5.0, 1.5 / 5.0])
 
     def test_pseudocount_keeps_unobserved_states_positive(self):
         rows = [list("KKKK"), list("RRRR")]
         matrix = matrix_from_rows(["a", "b"], rows)
-        model = build_model(matrix, pseudocount=0.5, alphabet=("K", "R", "S"))
+        model = build_model(matrix, alphabet=("K", "R", "S"))
         assert model.freqs[2] > 0
         assert np.allclose(model.freqs, [4.5 / 9.5, 4.5 / 9.5, 0.5 / 9.5])
 
@@ -57,11 +58,6 @@ class TestBuildModel:
         matrix = matrix_from_rows(["a", "b"], [list("KR"), list("KX")])
         with pytest.raises(ValueError):
             build_model(matrix, alphabet=("K", "R"))
-
-    def test_equal_freqs_mode(self):
-        matrix = matrix_from_rows(["a", "b"], [list("KKKK"), list("KRRR")])
-        model = build_model(matrix, equal_freqs=True)
-        assert np.allclose(model.freqs, 0.5)
 
     def test_p_inv_domain(self):
         matrix = matrix_from_rows(["a", "b"], [list("KR"), list("RK")])
@@ -90,7 +86,7 @@ class TestTransitionProb:
     def test_uniform_ten_state_diagonal_at_unit_rate_time(self):
         # mu*t = 1 for uniform frequencies when t = 0.9.
         matrix = matrix_from_rows(["a", "b"], [list(DOLGO), list(DOLGO)])
-        model = build_model(matrix, pseudocount=0.0)
+        model = build_model(matrix)
         t = 1.0 / model.mu
         p = transition_prob(model, t)
         expected = 0.1 + 0.9 * math.exp(-1.0)

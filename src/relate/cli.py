@@ -159,7 +159,7 @@ def cmd_lrt(args) -> int:
         k=args.k,
         alpha=args.alpha,
         seed=args.seed,
-        search=SearchConfig(seed=args.seed, random_restarts=args.restarts),
+        random_restarts=args.restarts,
     )
     report = run_lrt(matrix, config, alphabet=alphabet.classes)
     payload = {

@@ -37,14 +37,15 @@ RUN_SEED_STRIDE = 10007
 
 @dataclass(frozen=True)
 class LrtConfig:
-    """Proportions under test, number of paired runs, and seeding."""
+    """Proportions under test, number of paired runs, seeding, and search
+    restarts per fit."""
 
     p_inv_null: float = 0.01
     p_inv_alt: float = 0.06
     k: int = 15
     alpha: float = 0.05
     seed: int = 42
-    search: SearchConfig = SearchConfig()
+    random_restarts: int = 1
 
     def __post_init__(self):
         if not 0.0 <= self.p_inv_null < self.p_inv_alt < 1.0:
@@ -56,6 +57,8 @@ class LrtConfig:
             raise ValueError("need at least 2 paired runs for the t-test")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
+        if self.random_restarts < 1:
+            raise ValueError("random_restarts must be at least 1")
 
 
 def lrt_statistic(fit_alt: MlFit, fit_null: MlFit) -> float:
@@ -190,7 +193,7 @@ def run_lrt(
     runs = []
     for j in range(1, config.k + 1):
         seed_j = config.seed + j * RUN_SEED_STRIDE
-        search_j = replace(config.search, seed=seed_j)
+        search_j = SearchConfig(seed=seed_j, random_restarts=config.random_restarts)
         try:
             starts = start_trees(matrix, freq_model, search_j)
             earlier = next(

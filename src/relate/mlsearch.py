@@ -19,11 +19,11 @@ between equally good moves go to the lowest edge index.
 from __future__ import annotations
 
 import logging
+import math
 import random
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import phylik
 from .errors import InsufficientDataError
@@ -45,6 +45,10 @@ logger = logging.getLogger(__name__)
 _MAX_SWEEPS = 50
 _LL_TOLERANCE = 1e-4
 _BL_TOLERANCE = 1e-6
+
+#: A one-dimensional line search stops after this many evaluations, with
+#: a warning, if it has not converged.
+_MAX_EVALS = 500
 
 #: NNI rounds stop when no move improves, or after this many.
 _MAX_NNI_ROUNDS = 200
@@ -196,6 +200,96 @@ def start_trees(
     ]
 
 
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _minimize_bounded(f, lo: float, hi: float, xatol: float) -> tuple[float, float, bool]:
+    """Minimize ``f`` over [lo, hi] by Brent's bounded method.
+
+    Golden-section steps with parabolic interpolation, step for step the
+    arithmetic of ``scipy.optimize.minimize_scalar(method="bounded")``
+    (scipy 1.17), so the same points are evaluated and the same minimum is
+    returned. Endpoints are never evaluated. Returns (x, f(x), converged);
+    the search is not converged when it stops at ``_MAX_EVALS`` evaluations
+    or meets a NaN.
+    """
+    a, b = lo, hi
+    fulc = a + _GOLDEN_MEAN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    fu = math.inf
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    converged = True
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # Parabola through the three best points.
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm - xf >= 0 else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = _GOLDEN_MEAN * e
+        step = max(abs(rat), tol1)
+        x = xf + step if rat >= 0 else xf - step
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _MAX_EVALS:
+            converged = False
+            break
+    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
+        converged = False
+    return xf, fx, converged
+
+
+def _warn_unconverged(what: str):
+    logger.warning(
+        "line search over %s not converged at the cap of %d evaluations",
+        what, _MAX_EVALS,
+    )
+
+
 def _optimize_edge(
     tree: Phylogeny,
     model: SubstitutionModel,
@@ -214,15 +308,14 @@ def _optimize_edge(
         cache = phylik.PartialCache(tree, model, prep)
     fn = phylik.edge_log_likelihood_fn(tree, model, prep, u, v, cache=cache)
     current = fn(tree.length(u, v))
-    result = minimize_scalar(
-        lambda t: -fn(t),
-        bounds=(MIN_BRANCH_LENGTH, MAX_BRANCH_LENGTH),
-        method="bounded",
-        options={"xatol": _BL_TOLERANCE},
+    best_t, fun, converged = _minimize_bounded(
+        lambda t: -fn(t), MIN_BRANCH_LENGTH, MAX_BRANCH_LENGTH, _BL_TOLERANCE
     )
+    if not converged:
+        _warn_unconverged(f"the length of edge ({u}, {v})")
     # The bounded method never lands exactly on an endpoint, so boundary
     # optima (identical or saturated sequences) must be checked directly.
-    best_t, best_ll = float(result.x), -float(result.fun)
+    best_ll = -fun
     for endpoint in (MIN_BRANCH_LENGTH, MAX_BRANCH_LENGTH):
         ll = fn(endpoint)
         if ll >= best_ll:
@@ -392,28 +485,27 @@ def ml_tree_estimated(
         prep = prepare_sites(fit.model, matrix)
         # Only the invariant mixture depends on p_inv: prune once per round.
         var_logs = phylik.PartialCache(fit.tree, fit.model, prep).variable_site_logs()
+        site_logs = phylik._logmeanexp(var_logs)
 
         def p_objective(q: float) -> float:
-            return -float(phylik._mix_invariant(var_logs, prep.log_inv, q).sum())
+            mixture = phylik._invariant_mixture(q, prep.log_inv)
+            return -phylik._checked_total(phylik._mix_invariant(site_logs, mixture))
 
-        result = minimize_scalar(
-            p_objective, bounds=(0.0, 0.5), method="bounded",
-            options={"xatol": 1e-4},
-        )
-        p_inv = float(result.x)
+        p_inv, _, converged = _minimize_bounded(p_objective, 0.0, 0.5, 1e-4)
+        if not converged:
+            _warn_unconverged("p_inv")
 
         if use_gamma:
             def a_objective(log_shape: float) -> float:
                 model = fit.model.with_p_inv(p_inv).with_gamma(np.exp(log_shape), cats)
                 return -float(phylik.site_log_likelihoods(fit.tree, model, prep).sum())
 
-            result = minimize_scalar(
-                a_objective,
-                bounds=(np.log(0.05), np.log(20.0)),
-                method="bounded",
-                options={"xatol": 1e-3},
+            log_shape, _, converged = _minimize_bounded(
+                a_objective, np.log(0.05), np.log(20.0), 1e-3
             )
-            shape = float(np.exp(result.x))
+            if not converged:
+                _warn_unconverged("the gamma shape")
+            shape = float(np.exp(log_shape))
 
     final = ml_tree(
         matrix, p_inv, config,

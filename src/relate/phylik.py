@@ -26,6 +26,7 @@ one.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -666,27 +667,56 @@ def _cache_for(
 
 
 def _logmeanexp(rows: np.ndarray) -> np.ndarray:
+    """Per site, the log of the mean over rate categories (rows) of the
+    exponentiated row values; one row is returned as it is.
+
+    The rows are summed in order after shifting by the per-site peak. The
+    variable component of a site never has zero likelihood (frequencies
+    are positive and partials are rescaled), so the peak is finite unless
+    a value is NaN, which stays NaN.
+    """
+    if len(rows) == 1:
+        return rows[0]
     peak = rows.max(axis=0)
-    safe = np.where(np.isfinite(peak), peak, 0.0)
-    mean = np.mean(np.exp(rows - safe[None, :]), axis=0)
-    with np.errstate(divide="ignore"):
-        return np.where(np.isfinite(peak), safe + np.log(mean), peak)
+    total = np.exp(rows[0] - peak)
+    for row in rows[1:]:
+        total += np.exp(row - peak)
+    total /= len(rows)
+    np.log(total, out=total)
+    total += peak
+    return total
 
 
-def _mix_invariant(
-    var_logs: np.ndarray, log_inv: np.ndarray, p_inv: float
-) -> np.ndarray:
-    site_logs = _logmeanexp(var_logs)
+def _invariant_mixture(p_inv: float, log_inv: np.ndarray):
+    """The constants :func:`_mix_invariant` needs for ``p_inv``: the log
+    weight of the variable component and the per-site log of the weighted
+    invariant component, or None when there are no invariant sites."""
     if p_inv > 0.0:
-        site_logs = np.logaddexp(
-            np.log1p(-p_inv) + site_logs, np.log(p_inv) + log_inv
-        )
-    bad = ~np.isfinite(site_logs)
-    if bad.any():
-        raise NumericalUnderflowError(
-            f"site {int(np.nonzero(bad)[0][0])} has zero likelihood"
-        )
-    return site_logs
+        return np.log1p(-p_inv), np.log(p_inv) + log_inv
+    return None
+
+
+def _mix_invariant(site_logs: np.ndarray, mixture, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-site log likelihood of the invariant/variable mixture, from the
+    variable component's per-site log likelihood and the ``mixture`` of
+    :func:`_invariant_mixture`. ``site_logs`` is left as it is unless it
+    is ``out``."""
+    if mixture is None:
+        return site_logs
+    log_variable, log_invariant = mixture
+    mixed = np.add(site_logs, log_variable, out=out)
+    return np.logaddexp(mixed, log_invariant, out=mixed)
+
+
+def _checked_total(site_logs: np.ndarray) -> float:
+    """Sum of the per-site log likelihoods. A non-finite sum means a site
+    of zero (or undefined) likelihood: the first such site is named in a
+    :class:`NumericalUnderflowError`."""
+    total = float(site_logs.sum())
+    if not math.isfinite(total):
+        site = int(np.flatnonzero(~np.isfinite(site_logs))[0])
+        raise NumericalUnderflowError(f"site {site} has zero likelihood")
+    return total
 
 
 def site_log_likelihoods(
@@ -704,8 +734,12 @@ def site_log_likelihoods(
     """
     prep = source if isinstance(source, SitePrep) else prepare_sites(model, source)
     cache = _cache_for(tree, model, prep, cache)
-    var_logs = cache.variable_site_logs(root)
-    return _mix_invariant(var_logs, prep.log_inv, model.p_inv)
+    site_logs = _mix_invariant(
+        _logmeanexp(cache.variable_site_logs(root)),
+        _invariant_mixture(model.p_inv, prep.log_inv),
+    )
+    _checked_total(site_logs)
+    return site_logs
 
 
 def total_log_likelihood(
@@ -748,16 +782,18 @@ def edge_log_likelihood_fn(
         joint = (freqs[:, None] * side_u * side_v).sum(axis=0)
         terms.append((stationary, joint - stationary, logs_u + logs_v, model.mu * rate))
 
-    log_inv = prep.log_inv
-    p_inv = model.p_inv
+    mixture = _invariant_mixture(model.p_inv, prep.log_inv)
+    rows = np.empty((len(terms), prep.codes.shape[1]))
+    slots = [(rows[k], *term) for k, term in enumerate(terms)]
 
     def log_likelihood(t: float) -> float:
-        rows = np.empty((len(terms), prep.codes.shape[1]))
-        for k, (a, b, logs, beta) in enumerate(terms):
+        # ``rows`` is reused: each call overwrites it before reading it.
+        for row, a, b, logs, beta in slots:
             # Cancellation can push a tiny positive value below zero; the
             # floor keeps the optimizer away instead of crashing the log.
-            value = np.maximum(a + b * np.exp(-beta * t), 1e-300)
-            rows[k] = np.log(value) + logs
-        return float(_mix_invariant(rows, log_inv, p_inv).sum())
+            np.log(np.maximum(a + b * np.exp(-beta * t), 1e-300), out=row)
+            row += logs
+        site_logs = _logmeanexp(rows)
+        return _checked_total(_mix_invariant(site_logs, mixture, out=site_logs))
 
     return log_likelihood

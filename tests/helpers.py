@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from relate.bootsim import simulate_sites
 from relate.msa import CharacterMatrix
+from relate.phylik import parse_newick
 from relate.submodel import SubstitutionModel
 
 CONSONANTS = "ptkbdgsznmrlfwjh"
@@ -95,6 +97,21 @@ def random_freq_model(n_states: int, seed: int, p_inv: float = 0.0,
         gamma_shape=gamma_shape,
         n_rate_cats=n_rate_cats,
     )
+
+
+def small_matrix(
+    seed: int = 0,
+    n_sites: int = 60,
+    newick: str = "((A:0.3,B:0.3):0.2,(C:0.3,D:0.3):0.2);",
+) -> CharacterMatrix:
+    """Sites simulated on ``newick`` under a 4-state model with p_inv 0.1."""
+    tree = parse_newick(newick)
+    model = random_freq_model(4, seed=seed, p_inv=0.1)
+    states = simulate_sites(tree, model, n_sites, np.random.default_rng(seed))
+    symbols = np.array(model.alphabet)
+    taxa = sorted(states)
+    return CharacterMatrix(
+        taxa, [symbols[states[t]] for t in taxa], [("c0", 0, n_sites)])
 
 
 def leaf_symbol_map(tree, matrix) -> dict[int, list[str]]:

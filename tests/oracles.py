@@ -128,6 +128,44 @@ def enumeration_log_likelihoods(adjacency, leaf_symbols, states, freqs,
     return out
 
 
+# -- edge likelihood by the direct formula -----------------------------------
+
+def reference_logmeanexp(rows) -> np.ndarray:
+    """Per column, log of the mean of exp over the rows, with ``np.mean``
+    and guards for columns whose peak is not finite."""
+    rows = np.asarray(rows, dtype=float)
+    peak = rows.max(axis=0)
+    safe = np.where(np.isfinite(peak), peak, 0.0)
+    mean = np.mean(np.exp(rows - safe[None, :]), axis=0)
+    with np.errstate(divide="ignore"):
+        return np.where(np.isfinite(peak), safe + np.log(mean), peak)
+
+
+def reference_edge_log_likelihood(freqs, mu: float, rates, sides_u, sides_v,
+                                  log_inv, p_inv: float, t: float) -> float:
+    """Total log likelihood with the length of one edge set to ``t``.
+
+    ``sides_u`` and ``sides_v`` hold, per rate, the (scaled partial, log
+    scale) pair of each side of the edge. Each rate's variable component is
+    a + b * exp(-mu * rate * t), floored at 1e-300, averaged over rates and
+    mixed with the invariant component, all recomputed in full at every
+    call. Returns None when a site has zero likelihood.
+    """
+    freqs = np.asarray(freqs, dtype=float)
+    rows = []
+    for rate, (side_u, logs_u), (side_v, logs_v) in zip(rates, sides_u, sides_v):
+        stationary = (freqs @ side_u) * (freqs @ side_v)
+        joint = (freqs[:, None] * side_u * side_v).sum(axis=0)
+        value = np.maximum(stationary + (joint - stationary) * np.exp(-(mu * rate) * t), 1e-300)
+        rows.append(np.log(value) + (logs_u + logs_v))
+    site_logs = reference_logmeanexp(rows)
+    if p_inv > 0.0:
+        site_logs = np.logaddexp(np.log1p(-p_inv) + site_logs, np.log(p_inv) + log_inv)
+    if not np.all(np.isfinite(site_logs)):
+        return None
+    return float(site_logs.sum())
+
+
 # -- pairwise alignment by exhaustive search ---------------------------------
 
 def best_alignment_score(a, b, match: float, mismatch: float,

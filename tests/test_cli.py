@@ -78,6 +78,20 @@ class TestLrtCommand:
         assert rc == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
 
+    def test_restarts_reach_every_fit(self, tmp_path, wordlist_path, monkeypatch):
+        restarts = []
+        real = relate.lrt.ml_tree
+
+        def recording(matrix, p_inv, config, **kwargs):
+            restarts.append(config.random_restarts)
+            return real(matrix, p_inv, config, **kwargs)
+
+        monkeypatch.setattr(relate.lrt, "ml_tree", recording)
+        rc = main(["lrt", "--wordlist", wordlist_path, "--k", "2", "--restarts", "2",
+                   "--out", str(tmp_path / "r.json")])
+        assert rc == EXIT_OK
+        assert restarts and set(restarts) == {2}
+
     def test_underflow_in_a_run_exits_2(self, tmp_path, wordlist_path, monkeypatch, capsys):
         def underflow(*args, **kwargs):
             raise NumericalUnderflowError("site 3 has zero likelihood")
@@ -277,9 +291,10 @@ class TestTopLevel:
         assert main(["frobnicate"]) == EXIT_INPUT
         assert "usage" in capsys.readouterr().err
 
-    def test_import_leaves_scipy_stats_unloaded(self):
-        # Every command pays for the import; scipy.stats alone would take
-        # longer than the rest of it.
+    def test_import_leaves_scipy_stats_and_optimize_unloaded(self):
+        # Every command pays for the import, and no command needs either
+        # module: scipy.stats alone would take longer than the rest of the
+        # import, scipy.optimize about a quarter of a second.
         import relate
 
         src = str(Path(relate.__file__).resolve().parents[1])
@@ -287,5 +302,6 @@ class TestTopLevel:
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         code = ("import sys, relate, relate.cli; "
                 "assert relate.__file__.startswith(sys.argv[1]), relate.__file__; "
-                "sys.exit('scipy.stats' in sys.modules)")
+                "loaded = [m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules]; "
+                "sys.exit(' and '.join(loaded) + ' loaded' if loaded else 0)")
         subprocess.run([sys.executable, "-c", code, src], env=env, check=True)

@@ -1,12 +1,10 @@
 """Likelihood-ratio statistic, paired t-test, and the bootstrap test loop."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 import relate.lrt
-from helpers import random_freq_model
+from helpers import random_freq_model, small_matrix
 from oracles import t_upper_tail
 from relate.errors import InsufficientDataError, NumericalUnderflowError
 from relate.lrt import (
@@ -19,8 +17,7 @@ from relate.lrt import (
     paired_t_test,
     run_lrt,
 )
-from relate.bootsim import simulate_sites
-from relate.mlsearch import ml_tree, start_trees
+from relate.mlsearch import SearchConfig, ml_tree, start_trees
 from relate.msa import CharacterMatrix
 from relate.phylik import parse_newick, write_newick
 from relate.submodel import build_model
@@ -107,19 +104,9 @@ class TestLrtConfig:
         with pytest.raises(ValueError):
             LrtConfig(alpha=1.0)
 
-
-def small_matrix(
-    seed: int = 0,
-    n_sites: int = 60,
-    newick: str = "((A:0.3,B:0.3):0.2,(C:0.3,D:0.3):0.2);",
-) -> CharacterMatrix:
-    tree = parse_newick(newick)
-    model = random_freq_model(4, seed=seed, p_inv=0.1)
-    states = simulate_sites(tree, model, n_sites, np.random.default_rng(seed))
-    symbols = np.array(model.alphabet)
-    taxa = sorted(states)
-    return CharacterMatrix(
-        taxa, [symbols[states[t]] for t in taxa], [("c0", 0, n_sites)])
+    def test_restarts_domain(self):
+        with pytest.raises(ValueError, match="random_restarts"):
+            LrtConfig(random_restarts=0)
 
 
 class TestRunLrt:
@@ -200,7 +187,7 @@ class TestDataFitReuse:
         model = build_model(matrix)
         seen = []
         for run in range(1, self.config.k + 1):
-            search = replace(self.config.search, seed=self.config.seed + run * RUN_SEED_STRIDE)
+            search = SearchConfig(seed=self.config.seed + run * RUN_SEED_STRIDE)
             trees = [t.adjacency for t in start_trees(matrix, model, search)]
             if trees not in seen:
                 seen.append(trees)
@@ -219,8 +206,7 @@ class TestDataFitReuse:
         assert len({id(tree) for tree in trees}) == self.config.k
         # A reused fit is what refitting with that run's seed gives.
         last = report.runs[-1]
-        search = replace(self.config.search, seed=last.seed)
-        refit = ml_tree(matrix, self.config.p_inv_alt, search)
+        refit = ml_tree(matrix, self.config.p_inv_alt, SearchConfig(seed=last.seed))
         assert refit.log_likelihood == last.fit_alt.log_likelihood
         assert write_newick(refit.tree) == write_newick(last.fit_alt.tree)
 

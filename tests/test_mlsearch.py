@@ -5,7 +5,7 @@ import logging
 import numpy as np
 import pytest
 
-from helpers import matrix_from_rows, random_freq_model
+from helpers import matrix_from_rows, random_freq_model, random_matrix, small_matrix
 from relate.bootsim import simulate_sites
 from relate import mlsearch
 from relate.msa import CharacterMatrix
@@ -22,7 +22,9 @@ from relate.mlsearch import (
 from relate.phylik import (
     MAX_BRANCH_LENGTH,
     MIN_BRANCH_LENGTH,
+    edge_log_likelihood_fn,
     parse_newick,
+    prepare_sites,
     random_tree,
     total_log_likelihood,
     write_newick,
@@ -206,6 +208,107 @@ class TestOptimizeBranchLengths:
         tree, model, m = self.four_taxon_case()
         with caplog.at_level(logging.WARNING, logger="relate.mlsearch"):
             optimize_branch_lengths(tree, model, m)
+        assert caplog.records == []
+
+
+def edge_objective(n_cats: int):
+    """Negated log likelihood of one edge's length, as the search sees it."""
+    matrix = random_matrix(6, 80, "ABCD", seed=n_cats, gap_rate=0.1)
+    tree = random_tree(matrix.taxa, seed=n_cats)
+    model = random_freq_model(
+        4, seed=n_cats, p_inv=0.06,
+        gamma_shape=0.7 if n_cats > 1 else None, n_rate_cats=n_cats)
+    prep = prepare_sites(model, matrix)
+    u, v, _ = tree.edges()[2]
+    fn = edge_log_likelihood_fn(tree, model, prep, u, v)
+    return lambda t: -fn(t)
+
+
+# The bounds and tolerance of each line search in mlsearch: branch lengths,
+# the p_inv profile and the log gamma-shape profile.
+SEARCHES = {
+    1e-6: (MIN_BRANCH_LENGTH, MAX_BRANCH_LENGTH),
+    1e-4: (0.0, 0.5),
+    1e-3: (float(np.log(0.05)), float(np.log(20.0))),
+}
+
+
+class TestMinimizeBounded:
+    """The in-house line search evaluates the points scipy's bounded
+    method evaluates and returns its minimum, to the last bit."""
+
+    @pytest.mark.parametrize("xatol", sorted(SEARCHES))
+    @pytest.mark.parametrize("shape", [
+        "interior quadratic", "lower bound", "upper bound", "constant", "kink",
+        "one-rate edge", "two-rate edge",
+    ])
+    def test_matches_scipy(self, shape, xatol):
+        from scipy.optimize import minimize_scalar
+
+        lo, hi = SEARCHES[xatol]
+        c = lo + 0.3 * (hi - lo)
+        f = {
+            "interior quadratic": lambda x: (x - c) ** 2 + 1.5,
+            "lower bound": lambda x: 2.0 * x,
+            "upper bound": lambda x: -x,
+            "constant": lambda x: 1.0,
+            "kink": lambda x: abs(x - c),
+        }.get(shape) or edge_objective(1 if shape == "one-rate edge" else 2)
+        points = []
+
+        def counted(x):
+            points.append(x)
+            return f(x)
+
+        x, fx, converged = mlsearch._minimize_bounded(counted, lo, hi, xatol)
+        want = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+        assert x == want.x
+        assert fx == want.fun
+        assert len(points) == want.nfev
+        assert converged is bool(want.success) is True
+
+    def test_stopping_at_the_cap_is_reported(self, monkeypatch):
+        monkeypatch.setattr(mlsearch, "_MAX_EVALS", 3)
+        calls = []
+        x, fx, converged = mlsearch._minimize_bounded(
+            lambda x: calls.append(x) or (x - 0.3) ** 2, 0.0, 1.0, 1e-6)
+        assert converged is False
+        assert len(calls) == 3
+        assert fx == min((t - 0.3) ** 2 for t in calls)
+
+    def test_nan_objective_is_not_converged(self):
+        _, _, converged = mlsearch._minimize_bounded(lambda x: float("nan"), 0.0, 1.0, 1e-4)
+        assert converged is False
+
+
+class TestLineSearchWarnings:
+    def test_edge_search_at_the_cap_is_logged(self, monkeypatch, caplog):
+        matrix = small_matrix()
+        model = build_model(matrix, p_inv=0.06)
+        tree = init_tree(matrix, model)
+        u, v, _ = tree.edges()[0]
+        monkeypatch.setattr(mlsearch, "_MAX_EVALS", 3)
+        with caplog.at_level(logging.WARNING, logger="relate.mlsearch"):
+            mlsearch._optimize_edge(tree, model, prepare_sites(model, matrix), u, v)
+        (record,) = caplog.records
+        assert record.levelno == logging.WARNING
+        assert f"edge ({u}, {v})" in record.getMessage()
+        assert "cap of 3 evaluations" in record.getMessage()
+
+    def test_profiles_at_the_cap_are_logged(self, monkeypatch, caplog):
+        monkeypatch.setattr(mlsearch, "_MAX_EVALS", 3)
+        with caplog.at_level(logging.WARNING, logger="relate.mlsearch"):
+            ml_tree_estimated(small_matrix(), use_gamma=True)
+        messages = [r.getMessage() for r in caplog.records]
+        for what in ("p_inv", "the gamma shape"):
+            hits = [m for m in messages if m.startswith(f"line search over {what} ")]
+            assert len(hits) == mlsearch._OUTER_ROUNDS
+            assert all("cap of 3 evaluations" in m for m in hits)
+
+    def test_default_fits_log_nothing(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="relate"):
+            ml_tree(small_matrix(), 0.06)
+            ml_tree_estimated(small_matrix(), use_gamma=True)
         assert caplog.records == []
 
 

@@ -15,9 +15,12 @@ from relate.mlsearch import _apply_nni
 from relate.msa import CharacterMatrix
 from relate.phylik import (
     DEFAULT_BRANCH_LENGTH,
+    MAX_BRANCH_LENGTH,
+    MIN_BRANCH_LENGTH,
     PartialCache,
     Phylogeny,
     _default_root,
+    _logmeanexp,
     edge_log_likelihood_fn,
     parse_newick,
     prepare_sites,
@@ -424,3 +427,53 @@ class TestPartialCache:
         assert np.all(np.isfinite(site_log_likelihoods(tree, model, prep, cache=cache)))
         fn = edge_log_likelihood_fn(tree, model, prep, n - 1, spine[-1], cache=cache)
         assert np.isfinite(fn(0.1))
+
+
+class TestEdgeLogLikelihoodFn:
+    LENGTHS = (MIN_BRANCH_LENGTH, 1e-6, 0.3, 4.0, MAX_BRANCH_LENGTH)
+
+    def edge_case(self, n_cats, p_inv, seed=3):
+        matrix = random_matrix(7, 60, "ABCD", seed=seed, gap_rate=0.1)
+        tree = random_tree(matrix.taxa, seed=seed)
+        model = random_freq_model(
+            4, seed=seed, p_inv=p_inv,
+            gamma_shape=0.7 if n_cats > 1 else None, n_rate_cats=n_cats)
+        prep = prepare_sites(model, matrix)
+        cache = PartialCache(tree, model, prep)
+        return tree, model, prep, cache
+
+    @pytest.mark.parametrize("n_cats", [2, 3, 4, 8])
+    def test_logmeanexp_matches_the_mean_formula(self, n_cats):
+        rng = np.random.default_rng(n_cats)
+        rows = rng.uniform(-800.0, 0.0, size=(n_cats, 300))
+        rows[:, :100] = rng.normal(-5.0, 0.01, size=(n_cats, 100))
+        assert np.array_equal(_logmeanexp(rows), oracles.reference_logmeanexp(rows))
+        one = rows[:1]
+        assert np.array_equal(_logmeanexp(one), oracles.reference_logmeanexp(one))
+
+    @pytest.mark.parametrize("n_cats", [1, 2, 4])
+    @pytest.mark.parametrize("p_inv", [0.0, 0.06])
+    def test_closure_matches_the_direct_formula(self, n_cats, p_inv):
+        tree, model, prep, cache = self.edge_case(n_cats, p_inv)
+        for u, v, _ in tree.edges():
+            fn = edge_log_likelihood_fn(tree, model, prep, u, v, cache=cache)
+            sides_u, sides_v = cache.partial(u, v), cache.partial(v, u)
+            want = [
+                oracles.reference_edge_log_likelihood(
+                    model.freqs, model.mu, model.rates, sides_u, sides_v,
+                    prep.log_inv, model.p_inv, t)
+                for t in self.LENGTHS
+            ]
+            got = [fn(t) for t in self.LENGTHS]
+            assert got == want
+            # The closure reuses one buffer: calls in another order agree.
+            assert [fn(t) for t in reversed(self.LENGTHS)] == want[::-1]
+
+    @pytest.mark.parametrize("n_cats", [1, 2])
+    def test_nan_length_names_site_0(self, n_cats):
+        tree, model, prep, cache = self.edge_case(n_cats, 0.06)
+        u, v, _ = tree.edges()[0]
+        fn = edge_log_likelihood_fn(tree, model, prep, u, v, cache=cache)
+        with np.errstate(invalid="ignore"), pytest.raises(
+                NumericalUnderflowError, match="^site 0 has zero likelihood$"):
+            fn(float("nan"))

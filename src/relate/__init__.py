@@ -14,8 +14,8 @@ from .lexdata import FilterPolicy, LexEntry, Wordlist, parse_wordlist
 from .lrt import LrtConfig, LrtReport, run_lrt
 from .mlsearch import MlFit, SearchConfig, ml_tree
 from .msa import AlignScoring, CharacterMatrix, build_character_matrix
-from .permtest import MergeTree, WordMetric, permutation_significance, run_permtest
-from .phylik import Phylogeny, parse_newick, total_log_likelihood, write_newick
+from .permtest import MergeTree, WordMetric, run_permtest
+from .phylik import Phylogeny, parse_newick, write_newick
 from .bootsim import SimConfig, simulate_matrix
 from .soundclass import ClassAlphabet, default_alphabet, encode_form
 from .submodel import SubstitutionModel, build_model, transition_prob
@@ -49,11 +49,9 @@ __all__ = [
     "parse_gold_tree",
     "parse_newick",
     "parse_wordlist",
-    "permutation_significance",
     "run_lrt",
     "run_permtest",
     "simulate_matrix",
-    "total_log_likelihood",
     "transition_prob",
     "write_newick",
 ]

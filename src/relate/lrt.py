@@ -16,7 +16,6 @@ import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import stdtr
 
 from .bootsim import SimConfig, simulate_matrix
 from .errors import InsufficientDataError, RelateError
@@ -91,7 +90,9 @@ def paired_t_test(observed, null) -> tuple[float, float]:
         return 0.0, 0.5
     t = mean / (sd / np.sqrt(k))
     # The Student-t upper tail exactly as scipy.stats.t.sf computes it,
-    # without importing scipy.stats.
+    # without importing scipy.stats; scipy.special is imported only here.
+    from scipy.special import stdtr
+
     return float(t), float(stdtr(k - 1, -t))
 
 

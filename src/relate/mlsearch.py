@@ -5,8 +5,9 @@ optimizes branch lengths one edge at a time, and then hill-climbs with
 nearest-neighbor interchanges, accepting the best strictly improving move
 per round. One-dimensional edge optimization exploits the closed-form
 transition probabilities: with everything else fixed, a site's variable
-component is affine in exp(-mu * rate * t), so candidate lengths cost only
-vector arithmetic once the partials on both sides of the edge are known.
+component is affine in exp(-mu * rate * t), so candidate lengths, with the
+first and second derivatives that Newton steps use, cost only vector
+arithmetic once the partials on both sides of the edge are known.
 Those partials come from one :class:`phylik.PartialCache` per search,
 which each length change invalidates only outward of its edge and each
 NNI candidate inherits from the tree it was made from.
@@ -21,7 +22,7 @@ from __future__ import annotations
 import logging
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,15 +41,19 @@ from .submodel import SubstitutionModel, build_model
 logger = logging.getLogger(__name__)
 
 #: Branch-length sweeps stop when a full sweep gains less than
-#: ``_LL_TOLERANCE`` log likelihood, or after ``_MAX_SWEEPS`` sweeps; each
-#: edge is optimized to ``_BL_TOLERANCE`` in length.
+#: ``_LL_TOLERANCE`` log likelihood, or after ``_MAX_SWEEPS`` sweeps; the
+#: Newton search of one edge stops when its next step is shorter than
+#: ``_BL_TOLERANCE``.
 _MAX_SWEEPS = 50
 _LL_TOLERANCE = 1e-4
-_BL_TOLERANCE = 1e-6
+_BL_TOLERANCE = 1e-7
 
-#: A one-dimensional line search stops after this many evaluations, with
-#: a warning, if it has not converged.
+#: A one-dimensional line search (the p_inv and gamma-shape profiles)
+#: stops after this many evaluations, with a warning, if it has not
+#: converged; the Newton search of one branch length after
+#: ``_MAX_NEWTON_EVALS``.
 _MAX_EVALS = 500
+_MAX_NEWTON_EVALS = 100
 
 #: NNI rounds stop when no move improves, or after this many.
 _MAX_NNI_ROUNDS = 200
@@ -77,13 +82,17 @@ class MlFit:
     """A fitted tree: topology, branch lengths, model, and search history.
 
     ``search_trace`` holds (round, log likelihood) pairs, round 0 being the
-    starting tree after branch-length optimization.
+    starting tree after branch-length optimization. ``converged`` is False
+    when any search behind the fit stopped at its cap: a branch-length
+    sweep, the Newton search of an edge, or a profile of
+    :func:`ml_tree_estimated`.
     """
 
     tree: Phylogeny
     model: SubstitutionModel
     log_likelihood: float
     search_trace: tuple[tuple[int, float], ...]
+    converged: bool = True
 
 
 def model_distances(matrix: CharacterMatrix, model: SubstitutionModel) -> np.ndarray:
@@ -283,11 +292,51 @@ def _minimize_bounded(f, lo: float, hi: float, xatol: float) -> tuple[float, flo
     return xf, fx, converged
 
 
-def _warn_unconverged(what: str):
+def _warn_unconverged(what: str, cap: int):
     logger.warning(
         "line search over %s not converged at the cap of %d evaluations",
-        what, _MAX_EVALS,
+        what, cap,
     )
+
+
+def _newton_length(fn, t: float, at_t, beta: float) -> tuple[float, float, bool]:
+    """Maximize ``fn`` over [MIN_BRANCH_LENGTH, MAX_BRANCH_LENGTH] by
+    safeguarded Newton steps from ``t``.
+
+    ``fn`` is an edge closure of :func:`phylik.edge_log_likelihood_fn`,
+    returning (log likelihood, d/dt, d^2/dt^2), and ``at_t`` its value at
+    ``t``. Steps are Newton steps in x = exp(-beta * t), in which the log
+    likelihood of one rate is concave (a sum of logs of affine functions),
+    mapped back to t and clamped to the bounds; where the objective is not
+    concave in x the step goes to the bound the slope points at. A step
+    that loses likelihood is halved in x until it gains or is shorter than
+    ``_BL_TOLERANCE``. The search stops when the next step is shorter than
+    ``_BL_TOLERANCE``. Returns (t, log likelihood, converged); it is not
+    converged when it stops at ``_MAX_NEWTON_EVALS`` evaluations.
+    """
+    ll, slope, curvature = at_t
+    evals = 1
+    while True:
+        # In x, the slope is -slope / (beta x) and the curvature
+        # (curvature + beta * slope) / (beta x)^2.
+        concavity = curvature + beta * slope
+        if concavity < 0.0:
+            ratio = beta * slope / concavity
+            target = MAX_BRANCH_LENGTH if ratio <= -1.0 else t - math.log1p(ratio) / beta
+        else:
+            target = MAX_BRANCH_LENGTH if slope > 0.0 else MIN_BRANCH_LENGTH
+        target = min(max(target, MIN_BRANCH_LENGTH), MAX_BRANCH_LENGTH)
+        while True:
+            if not abs(target - t) >= _BL_TOLERANCE:
+                return t, ll, True
+            if evals >= _MAX_NEWTON_EVALS:
+                return t, ll, False
+            trial = fn(target)
+            evals += 1
+            if trial[0] >= ll:
+                break
+            target = -math.log(0.5 * (math.exp(-beta * t) + math.exp(-beta * target))) / beta
+        t, (ll, slope, curvature) = target, trial
 
 
 def _optimize_edge(
@@ -297,33 +346,36 @@ def _optimize_edge(
     u: int,
     v: int,
     cache: phylik.PartialCache | None = None,
-) -> float:
+) -> tuple[float, bool]:
     """Maximize the likelihood over one branch length in place.
 
     Returns the gain in log likelihood (never negative: the current length
-    is kept when the optimizer fails to beat it). ``cache`` holds partials
-    of ``tree`` and is kept current with the new length.
+    is kept unless a better one is found) and whether the Newton search
+    converged. ``cache`` holds partials of ``tree`` and is kept current
+    with the new length.
     """
     if cache is None:
         cache = phylik.PartialCache(tree, model, prep)
     fn = phylik.edge_log_likelihood_fn(tree, model, prep, u, v, cache=cache)
-    current = fn(tree.length(u, v))
-    best_t, fun, converged = _minimize_bounded(
-        lambda t: -fn(t), MIN_BRANCH_LENGTH, MAX_BRANCH_LENGTH, _BL_TOLERANCE
-    )
+    current = tree.length(u, v)
+    start = float(min(max(current, MIN_BRANCH_LENGTH), MAX_BRANCH_LENGTH))
+    at_start = fn(start)
+    current_ll = at_start[0] if start == current else fn(current)[0]
+    best_t, best_ll, converged = _newton_length(fn, start, at_start, model.mu)
     if not converged:
-        _warn_unconverged(f"the length of edge ({u}, {v})")
-    # The bounded method never lands exactly on an endpoint, so boundary
-    # optima (identical or saturated sequences) must be checked directly.
-    best_ll = -fun
+        _warn_unconverged(f"the length of edge ({u}, {v})", _MAX_NEWTON_EVALS)
+    # With more than one rate the objective may have several maxima, so
+    # boundary optima (identical or saturated sequences) are checked
+    # directly.
     for endpoint in (MIN_BRANCH_LENGTH, MAX_BRANCH_LENGTH):
-        ll = fn(endpoint)
-        if ll >= best_ll:
-            best_t, best_ll = endpoint, ll
-    if best_ll > current:
+        if endpoint != best_t:
+            ll = fn(endpoint)[0]
+            if ll >= best_ll:
+                best_t, best_ll = endpoint, ll
+    if best_ll > current_ll:
         cache.set_length(u, v, best_t)
-        return best_ll - current
-    return 0.0
+        return best_ll - current_ll, converged
+    return 0.0, converged
 
 
 def optimize_branch_lengths(
@@ -331,12 +383,13 @@ def optimize_branch_lengths(
     model: SubstitutionModel,
     source: CharacterMatrix | SitePrep,
     cache: phylik.PartialCache | None = None,
-) -> tuple[Phylogeny, float]:
-    """Sweep all edges with bounded one-dimensional optimization until a
-    full sweep gains less than ``_LL_TOLERANCE``, or for at most
+) -> tuple[Phylogeny, float, bool]:
+    """Sweep all edges with the Newton search of :func:`_optimize_edge`
+    until a full sweep gains less than ``_LL_TOLERANCE``, or for at most
     ``_MAX_SWEEPS`` sweeps, with a warning when the cap stops it. Returns a
-    new tree and its log likelihood; the input tree is untouched. A ``cache`` of the input
-    tree moves to the returned tree and is kept current with it."""
+    new tree, its log likelihood and whether every sweep and edge search
+    converged; the input tree is untouched. A ``cache`` of the input tree
+    moves to the returned tree and is kept current with it."""
     prep = source if isinstance(source, SitePrep) else prepare_sites(model, source)
     work = tree.copy()
     if cache is None:
@@ -344,20 +397,24 @@ def optimize_branch_lengths(
     else:
         cache.check(tree, model, prep)
         cache.moved_to(work)
+    converged = True
     for _ in range(_MAX_SWEEPS):
         gain = 0.0
         for u, v, _length in work.edges():
-            gain += _optimize_edge(work, model, prep, u, v, cache)
+            edge_gain, edge_converged = _optimize_edge(work, model, prep, u, v, cache)
+            gain += edge_gain
+            converged &= edge_converged
         if gain < _LL_TOLERANCE:
             break
     else:
+        converged = False
         logger.warning(
             "branch lengths not converged at the cap of %d sweeps: the last "
             "sweep gained %.3g log likelihood (tolerance %.3g)",
             _MAX_SWEEPS, gain, _LL_TOLERANCE,
         )
     ll = float(phylik.site_log_likelihoods(work, model, prep, cache=cache).sum())
-    return work, ll
+    return work, ll, converged
 
 
 def _apply_nni(tree: Phylogeny, u: int, x: int, v: int, y: int):
@@ -396,7 +453,7 @@ def nni_search(
     """
     prep = source if isinstance(source, SitePrep) else prepare_sites(model, source)
     cache = phylik.PartialCache(start, model, prep)
-    tree, ll = optimize_branch_lengths(start, model, prep, cache=cache)
+    tree, ll, converged = optimize_branch_lengths(start, model, prep, cache=cache)
     trace = [(0, ll)]
     for round_no in range(1, _MAX_NNI_ROUNDS + 1):
         best_ll = ll
@@ -409,7 +466,7 @@ def nni_search(
             local += [(u, n) for n in candidate.neighbors(u) if n != v]
             local += [(v, n) for n in candidate.neighbors(v) if n != u]
             for a, b in local:
-                _optimize_edge(candidate, model, prep, a, b, cand_cache)
+                converged &= _optimize_edge(candidate, model, prep, a, b, cand_cache)[1]
             cand_ll = float(
                 phylik.site_log_likelihoods(candidate, model, prep, cache=cand_cache).sum()
             )
@@ -418,13 +475,17 @@ def nni_search(
                 best_tree, best_cache = candidate, cand_cache
         if best_tree is None:
             break
-        tree, ll = optimize_branch_lengths(best_tree, model, prep, cache=best_cache)
+        tree, ll, swept = optimize_branch_lengths(best_tree, model, prep, cache=best_cache)
+        converged &= swept
         cache = best_cache
         if ll < best_ll:
             tree, ll = best_tree, best_ll
             cache = phylik.PartialCache(tree, model, prep)
         trace.append((round_no, ll))
-    return MlFit(tree=tree, model=model, log_likelihood=ll, search_trace=tuple(trace))
+    return MlFit(
+        tree=tree, model=model, log_likelihood=ll,
+        search_trace=tuple(trace), converged=converged,
+    )
 
 
 def ml_tree(
@@ -477,11 +538,13 @@ def ml_tree_estimated(
     shape = 1.0 if use_gamma else None
     cats = _GAMMA_CATS if use_gamma else 1
     fit = None
+    converged = True
     for _ in range(_OUTER_ROUNDS):
         fit = ml_tree(
             matrix, p_inv, config,
             gamma_shape=shape, n_rate_cats=cats, alphabet=alphabet,
         )
+        converged &= fit.converged
         prep = prepare_sites(fit.model, matrix)
         # Only the invariant mixture depends on p_inv: prune once per round.
         var_logs = phylik.PartialCache(fit.tree, fit.model, prep).variable_site_logs()
@@ -491,24 +554,26 @@ def ml_tree_estimated(
             mixture = phylik._invariant_mixture(q, prep.log_inv)
             return -phylik._checked_total(phylik._mix_invariant(site_logs, mixture))
 
-        p_inv, _, converged = _minimize_bounded(p_objective, 0.0, 0.5, 1e-4)
-        if not converged:
-            _warn_unconverged("p_inv")
+        p_inv, _, profiled = _minimize_bounded(p_objective, 0.0, 0.5, 1e-4)
+        if not profiled:
+            _warn_unconverged("p_inv", _MAX_EVALS)
+        converged &= profiled
 
         if use_gamma:
             def a_objective(log_shape: float) -> float:
                 model = fit.model.with_p_inv(p_inv).with_gamma(np.exp(log_shape), cats)
                 return -float(phylik.site_log_likelihoods(fit.tree, model, prep).sum())
 
-            log_shape, _, converged = _minimize_bounded(
+            log_shape, _, profiled = _minimize_bounded(
                 a_objective, np.log(0.05), np.log(20.0), 1e-3
             )
-            if not converged:
-                _warn_unconverged("the gamma shape")
+            if not profiled:
+                _warn_unconverged("the gamma shape", _MAX_EVALS)
+            converged &= profiled
             shape = float(np.exp(log_shape))
 
     final = ml_tree(
         matrix, p_inv, config,
         gamma_shape=shape, n_rate_cats=cats, alphabet=alphabet,
     )
-    return final
+    return replace(final, converged=final.converged and converged)

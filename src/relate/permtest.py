@@ -378,30 +378,6 @@ def _significance(
     return observed, result
 
 
-def permutation_significance(
-    metric: WordMetric,
-    wl: Wordlist,
-    cluster_a,
-    cluster_b,
-    n_perm: int = 1000,
-    seed: int = 42,
-    alphabet: ClassAlphabet | None = None,
-) -> PermutationResult:
-    """Similarity score and permutation p-value for one cluster pair.
-
-    The score is the relative drop of the observed cluster distance below
-    its permutation expectation; the p-value uses the add-one estimator
-    (count of permuted distances at most the observed, plus one, over
-    ``n_perm`` plus one).
-    """
-    if n_perm < 1:
-        raise ValueError("need at least one permutation")
-    _check_clusters(wl, cluster_a, cluster_b)
-    engine = _Engine(metric, wl, alphabet)
-    _, result = _significance(engine, cluster_a, cluster_b, n_perm, seed)
-    return result
-
-
 @dataclass(frozen=True)
 class Merge:
     """One agglomeration step with its statistics."""

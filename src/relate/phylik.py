@@ -41,7 +41,7 @@ from .errors import (
 )
 from .msa import CharacterMatrix
 from .soundclass import GAP
-from .submodel import SubstitutionModel, transition_prob
+from .submodel import SubstitutionModel, transition_step
 
 #: Bounds applied to branch lengths during inference.
 MIN_BRANCH_LENGTH = 1e-6
@@ -452,12 +452,6 @@ def random_tree(
 
 
 @dataclass(frozen=True)
-class LikelihoodResult:
-    total_log_likelihood: float
-    per_site_log_likelihoods: np.ndarray
-
-
-@dataclass(frozen=True)
 class SitePrep:
     """Matrix recoded against a model: integer states and the per-site
     invariant-component likelihoods."""
@@ -571,29 +565,30 @@ class PartialCache:
     def _combine(self, node: int, block: int | None):
         tree, model = self.tree, self.model
         children = [nbr for nbr in tree.neighbors(node) if nbr != block]
-        n_sites = self.prep.codes.shape[1]
+        leaf = None
+        if tree.is_leaf(node):
+            leaf = _leaf_partial(model, self.prep.codes[self._row_of[node]])
+        if not children:
+            logs = np.zeros(self.prep.codes.shape[1])
+            return [(leaf, logs)] * len(model.rates)
         out = []
         for k, rate in enumerate(model.rates):
-            if tree.is_leaf(node):
-                value = _leaf_partial(model, self.prep.codes[self._row_of[node]])
-            else:
-                value = np.ones((model.n_states, n_sites))
-            logs = np.zeros(n_sites)
+            value, logs = leaf, None
             for child in children:
                 child_value, child_logs = self._entries[(child, node)][k]
-                p = transition_prob(model, tree.length(node, child), rate)
-                value = value * (p @ child_value)
-                logs = logs + child_logs
-            if children:
-                peak = value.max(axis=0)
-                if not np.all(peak > 0):
-                    site = int(np.nonzero(peak <= 0)[0][0])
-                    raise NumericalUnderflowError(
-                        f"partial likelihood underflowed at site {site}"
-                    )
-                value = value / peak
-                logs = logs + np.log(peak)
-            out.append((value, logs))
+                step = transition_step(model, tree.length(node, child), rate, child_value)
+                if value is not None:
+                    step *= value
+                value = step
+                logs = child_logs if logs is None else logs + child_logs
+            peak = value.max(axis=0)
+            if not np.all(peak > 0):
+                site = int(np.nonzero(peak <= 0)[0][0])
+                raise NumericalUnderflowError(
+                    f"partial likelihood underflowed at site {site}"
+                )
+            value /= peak
+            out.append((value, logs + np.log(peak)))
         return out
 
     def _drop_outward(self, node: int, away_from: int):
@@ -742,19 +737,6 @@ def site_log_likelihoods(
     return site_logs
 
 
-def total_log_likelihood(
-    tree: Phylogeny,
-    model: SubstitutionModel,
-    source: CharacterMatrix | SitePrep,
-) -> LikelihoodResult:
-    """Total and per-site log likelihood of ``source`` under the model."""
-    per_site = site_log_likelihoods(tree, model, source)
-    return LikelihoodResult(
-        total_log_likelihood=float(per_site.sum()),
-        per_site_log_likelihoods=per_site,
-    )
-
-
 def edge_log_likelihood_fn(
     tree: Phylogeny,
     model: SubstitutionModel,
@@ -763,37 +745,72 @@ def edge_log_likelihood_fn(
     v: int,
     cache: PartialCache | None = None,
 ):
-    """Total log likelihood as a function of the length of edge (u, v).
+    """Total log likelihood, and its first and second derivatives, as a
+    function of the length of edge (u, v).
 
-    Along one edge the variable component of a site is affine in
-    x = exp(-mu * rate * t), so the partials on both sides of the edge are
-    looked up (or filled) in ``cache`` once here and each candidate length
-    costs only vector arithmetic. The other branch lengths are taken as
-    they currently stand.
+    Along one edge the variable component of a site at rate k is
+    L_k(t) = a_k + b_k * x_k with x_k = exp(-beta_k * t), beta_k = mu * rate_k,
+    so the partials on both sides of the edge are looked up (or filled) in
+    ``cache`` once here and each candidate length costs only vector
+    arithmetic. With r_k = b_k * x_k / L_k, the log of L_k has derivatives
+    -beta_k * r_k and beta_k^2 * r_k - (beta_k * r_k)^2; a site mixes them
+    over the rates with posterior weights
+    w_k = exp(log L_k + log((1 - p_inv) / K) - log site likelihood), and
+    the derivatives of its log are sum_k w_k (-beta_k r_k) and
+    sum_k w_k beta_k^2 r_k minus the square of the first. The other branch
+    lengths are taken as they currently stand.
+
+    The returned callable maps a length t to the tuple
+    (log likelihood, d/dt, d^2/dt^2).
     """
     if v not in tree.adjacency[u]:
         raise KeyError(f"no edge ({u}, {v})")
     cache = _cache_for(tree, model, prep, cache)
     freqs = model.freqs
-    terms = []
-    sides = zip(model.rates, cache.partial(u, v), cache.partial(v, u))
-    for rate, (side_u, logs_u), (side_v, logs_v) in sides:
+    n_cats, n_sites = len(model.rates), prep.codes.shape[1]
+    mixture = _invariant_mixture(model.p_inv, prep.log_inv)
+    # Every site has posterior weight one on its only rate when there is
+    # neither an invariant component nor a second rate.
+    unit_weights = mixture is None and n_cats == 1
+    log_weight = (0.0 if mixture is None else mixture[0]) - math.log(n_cats)
+    # Buffers reused by every call, which overwrites each before reading it.
+    rows = np.empty((n_cats, n_sites))
+    ratios = np.empty((n_cats, n_sites))
+    mixed = np.empty(n_sites)
+    first = np.empty(n_sites)
+    betas = model.mu * np.asarray(model.rates)
+    squares = betas * betas
+    slots = []
+    sides = zip(cache.partial(u, v), cache.partial(v, u))
+    for k, ((side_u, logs_u), (side_v, logs_v)) in enumerate(sides):
         stationary = (freqs @ side_u) * (freqs @ side_v)
         joint = (freqs[:, None] * side_u * side_v).sum(axis=0)
-        terms.append((stationary, joint - stationary, logs_u + logs_v, model.mu * rate))
+        slots.append((rows[k], ratios[k], stationary, joint - stationary, logs_u + logs_v, betas[k]))
 
-    mixture = _invariant_mixture(model.p_inv, prep.log_inv)
-    rows = np.empty((len(terms), prep.codes.shape[1]))
-    slots = [(rows[k], *term) for k, term in enumerate(terms)]
-
-    def log_likelihood(t: float) -> float:
-        # ``rows`` is reused: each call overwrites it before reading it.
-        for row, a, b, logs, beta in slots:
+    def edge_log_likelihood(t: float) -> tuple[float, float, float]:
+        for row, ratio, a, b, logs, beta in slots:
+            np.multiply(b, np.exp(-beta * t), out=ratio)
+            np.add(a, ratio, out=row)
             # Cancellation can push a tiny positive value below zero; the
             # floor keeps the optimizer away instead of crashing the log.
-            np.log(np.maximum(a + b * np.exp(-beta * t), 1e-300), out=row)
+            np.maximum(row, 1e-300, out=row)
+            ratio /= row
+            np.log(row, out=row)
             row += logs
-        site_logs = _logmeanexp(rows)
-        return _checked_total(_mix_invariant(site_logs, mixture, out=site_logs))
+        site_logs = _mix_invariant(_logmeanexp(rows), mixture, out=mixed)
+        total = _checked_total(site_logs)
+        if not unit_weights:
+            # ``rows`` becomes the weighted ratios w_k * r_k.
+            np.subtract(rows, site_logs, out=rows)
+            np.add(rows, log_weight, out=rows)
+            np.exp(rows, out=rows)
+            np.multiply(rows, ratios, out=rows)
+        weighted = ratios if unit_weights else rows
+        steps = weighted.sum(axis=1)
+        if n_cats == 1:
+            spread = float(squares[0] * (weighted[0] @ weighted[0]))
+        else:
+            spread = float(np.dot(betas, weighted, out=first) @ first)
+        return total, -float(betas @ steps), float(squares @ steps) - spread
 
-    return log_likelihood
+    return edge_log_likelihood

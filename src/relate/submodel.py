@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammainc, gammaincinv
 
 from .errors import SchemaError
 from .msa import CharacterMatrix
@@ -48,6 +47,9 @@ def gamma_categories(shape: float, n_cats: int) -> tuple[float, ...]:
         raise ValueError(f"need at least one rate category, got {n_cats}")
     if n_cats == 1:
         return (1.0,)
+    # Imported here, so that only gamma models pay for scipy.special.
+    from scipy.special import gammainc, gammaincinv
+
     # Quantiles and bin masses of Gamma(shape, scale=1/shape) from the
     # regularized incomplete gamma functions, with the scale applied as
     # scipy.stats.gamma applies it, so the rates equal its to the last bit
@@ -185,14 +187,34 @@ def build_model(
     )
 
 
-def transition_prob(model: SubstitutionModel, t: float, rate: float = 1.0) -> np.ndarray:
-    """Transition matrix over a branch of length ``t`` at rate multiplier
-    ``rate``, in closed form."""
+def _decay(model: SubstitutionModel, t: float, rate: float) -> float:
+    """exp(-mu * rate * t), the weight the closed form gives to staying."""
     if t < 0:
         raise ValueError(f"branch length must be non-negative, got {t}")
     if rate < 0:
         raise ValueError(f"rate multiplier must be non-negative, got {rate}")
-    decay = float(np.exp(-model.mu * rate * t))
+    return float(np.exp(-model.mu * rate * t))
+
+
+def transition_prob(model: SubstitutionModel, t: float, rate: float = 1.0) -> np.ndarray:
+    """Transition matrix over a branch of length ``t`` at rate multiplier
+    ``rate``, in closed form."""
+    decay = _decay(model, t, rate)
     p = (1.0 - decay) * np.tile(model.freqs, (model.n_states, 1))
     p[np.diag_indices(model.n_states)] += decay
     return p
+
+
+def transition_step(
+    model: SubstitutionModel, t: float, rate: float, values: np.ndarray
+) -> np.ndarray:
+    """``transition_prob(model, t, rate) @ values`` without the matrix.
+
+    By the closed form, row i of the product is
+    decay * v_i + (1 - decay) * (pi . v), so a (states, sites) block of
+    ``values`` costs O(states * sites) rather than O(states^2 * sites).
+    """
+    decay = _decay(model, t, rate)
+    out = values * decay
+    out += (1.0 - decay) * (model.freqs @ values)
+    return out

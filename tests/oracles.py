@@ -166,6 +166,36 @@ def reference_edge_log_likelihood(freqs, mu: float, rates, sides_u, sides_v,
     return float(site_logs.sum())
 
 
+def reference_edge_derivatives(freqs, mu: float, rates, sides_u, sides_v,
+                               log_inv, p_inv: float, t: float) -> tuple[float, float]:
+    """First and second derivatives in ``t`` of the total log likelihood
+    of :func:`reference_edge_log_likelihood`, without its 1e-300 floor, by
+    mpmath's numerical differentiation at 40 significant digits."""
+    import mpmath
+
+    freqs = np.asarray(freqs, dtype=float)
+    terms = []
+    for rate, (side_u, logs_u), (side_v, logs_v) in zip(rates, sides_u, sides_v):
+        stationary = (freqs @ side_u) * (freqs @ side_v)
+        joint = (freqs[:, None] * side_u * side_v).sum(axis=0)
+        terms.append((mu * rate, stationary, joint - stationary, logs_u + logs_v))
+    with mpmath.workdps(40):
+        def total(x):
+            out = mpmath.mpf(0)
+            for site in range(len(log_inv)):
+                variable = mpmath.fsum(
+                    mpmath.exp(logs[site]) * (a[site] + b[site] * mpmath.exp(-beta * x))
+                    for beta, a, b, logs in terms
+                ) / len(terms)
+                invariant = mpmath.exp(log_inv[site]) if np.isfinite(log_inv[site]) else 0
+                out += mpmath.log((1 - mpmath.mpf(p_inv)) * variable + p_inv * invariant)
+            return out
+
+        first = mpmath.diff(total, mpmath.mpf(t), 1)
+        second = mpmath.diff(total, mpmath.mpf(t), 2)
+    return float(first), float(second)
+
+
 # -- pairwise alignment by exhaustive search ---------------------------------
 
 def best_alignment_score(a, b, match: float, mismatch: float,

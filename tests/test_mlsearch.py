@@ -7,7 +7,7 @@ import pytest
 
 from helpers import matrix_from_rows, random_freq_model, random_matrix, small_matrix
 from relate.bootsim import simulate_sites
-from relate import mlsearch
+from relate import mlsearch, phylik
 from relate.msa import CharacterMatrix
 from relate.mlsearch import (
     SearchConfig,
@@ -26,11 +26,15 @@ from relate.phylik import (
     parse_newick,
     prepare_sites,
     random_tree,
-    total_log_likelihood,
+    site_log_likelihoods,
     write_newick,
 )
 from relate.submodel import build_model
 from relate.treecmp import gqd
+
+
+def tree_log_likelihood(tree, model, matrix) -> float:
+    return float(site_log_likelihoods(tree, model, matrix).sum())
 
 
 def simulated_matrix(tree, model, n_sites: int, seed: int) -> CharacterMatrix:
@@ -128,7 +132,7 @@ class TestOptimizeBranchLengths:
         m = matrix_from_rows(["A", "B"], [list("KRSKRS"), list("KRSKRS")])
         model = build_model(m)
         tree = parse_newick("(A:0.5,B:0.5);")
-        out, _ = optimize_branch_lengths(tree, model, m)
+        out, _, _ = optimize_branch_lengths(tree, model, m)
         (u, v, w), = out.edges()
         assert w == MIN_BRANCH_LENGTH
 
@@ -136,7 +140,7 @@ class TestOptimizeBranchLengths:
         m = matrix_from_rows(["A", "B"], [list("KKKKKK"), list("RRRRRR")])
         model = build_model(m)
         tree = parse_newick("(A:0.5,B:0.5);")
-        out, _ = optimize_branch_lengths(tree, model, m)
+        out, _, _ = optimize_branch_lengths(tree, model, m)
         (u, v, w), = out.edges()
         assert w == MAX_BRANCH_LENGTH
 
@@ -146,7 +150,7 @@ class TestOptimizeBranchLengths:
             [list("KRSKRSKKRR"), list("KRSKRNKKRS"), list("TRSKSNKKRS")])
         model = build_model(m)
         tree = parse_newick("(A:0.1,B:0.1,C:0.1);")
-        optimized, ll = optimize_branch_lengths(tree, model, m)
+        optimized, ll, _ = optimize_branch_lengths(tree, model, m)
 
         # Coordinate-descent over a 1e-3 grid, swept to a fixed point.
         # Both bounds join the grid so clamped optima stay reachable.
@@ -156,14 +160,14 @@ class TestOptimizeBranchLengths:
             ([MIN_BRANCH_LENGTH], np.arange(0.001, 1.0, 0.001),
              [MAX_BRANCH_LENGTH]))
         work = tree.copy()
-        best = total_log_likelihood(work, model, m).total_log_likelihood
+        best = tree_log_likelihood(work, model, m)
         for _ in range(6):
             improved = False
             for u, v in edges:
                 current = work.length(u, v)
                 for value in grid:
                     work.set_length(u, v, float(value))
-                    cand = total_log_likelihood(work, model, m).total_log_likelihood
+                    cand = tree_log_likelihood(work, model, m)
                     if cand > best + 1e-12:
                         best = cand
                         current = float(value)
@@ -181,8 +185,8 @@ class TestOptimizeBranchLengths:
              list("TRSSSNKK")])
         model = build_model(m)
         tree = parse_newick("((A:0.2,B:0.2):0.2,(C:0.2,D:0.2):0.2);")
-        before = total_log_likelihood(tree, model, m).total_log_likelihood
-        _, after = optimize_branch_lengths(tree, model, m)
+        before = tree_log_likelihood(tree, model, m)
+        _, after, _ = optimize_branch_lengths(tree, model, m)
         assert after >= before - 1e-12
 
     def four_taxon_case(self):
@@ -211,17 +215,33 @@ class TestOptimizeBranchLengths:
         assert caplog.records == []
 
 
+def edge_case(n_cats: int, p_inv: float, seed: int):
+    """A random tree, model and matrix with some constant columns, so that
+    the invariant component matters when ``p_inv`` is positive."""
+    matrix = random_matrix(6, 80, "ABCD", seed=seed, gap_rate=0.1)
+    cells = matrix.cells.copy()
+    cells[:, :12] = cells[0, :12]
+    matrix = CharacterMatrix(matrix.taxa, cells, matrix.concept_bounds)
+    tree = random_tree(matrix.taxa, seed=seed)
+    model = random_freq_model(
+        4, seed=seed, p_inv=p_inv,
+        gamma_shape=0.7 if n_cats > 1 else None, n_rate_cats=n_cats)
+    return tree, model, prepare_sites(model, matrix)
+
+
 def edge_objective(n_cats: int):
     """Negated log likelihood of one edge's length, as the search sees it."""
-    matrix = random_matrix(6, 80, "ABCD", seed=n_cats, gap_rate=0.1)
-    tree = random_tree(matrix.taxa, seed=n_cats)
-    model = random_freq_model(
-        4, seed=n_cats, p_inv=0.06,
-        gamma_shape=0.7 if n_cats > 1 else None, n_rate_cats=n_cats)
-    prep = prepare_sites(model, matrix)
+    tree, model, prep = edge_case(n_cats, 0.06, seed=n_cats)
     u, v, _ = tree.edges()[2]
     fn = edge_log_likelihood_fn(tree, model, prep, u, v)
-    return lambda t: -fn(t)
+
+    def objective(t):
+        # The profiles' ranges reach negative lengths, where the
+        # derivatives the closure also returns overflow.
+        with np.errstate(over="ignore"):
+            return -fn(t)[0]
+
+    return objective
 
 
 # The bounds and tolerance of each line search in mlsearch: branch lengths,
@@ -287,18 +307,23 @@ class TestLineSearchWarnings:
         model = build_model(matrix, p_inv=0.06)
         tree = init_tree(matrix, model)
         u, v, _ = tree.edges()[0]
-        monkeypatch.setattr(mlsearch, "_MAX_EVALS", 3)
+        monkeypatch.setattr(mlsearch, "_MAX_NEWTON_EVALS", 2)
         with caplog.at_level(logging.WARNING, logger="relate.mlsearch"):
-            mlsearch._optimize_edge(tree, model, prepare_sites(model, matrix), u, v)
+            gain, converged = mlsearch._optimize_edge(
+                tree, model, prepare_sites(model, matrix), u, v)
         (record,) = caplog.records
         assert record.levelno == logging.WARNING
         assert f"edge ({u}, {v})" in record.getMessage()
-        assert "cap of 3 evaluations" in record.getMessage()
+        assert "cap of 2 evaluations" in record.getMessage()
+        assert converged is False
+        # The best length seen so far is still kept.
+        assert gain > 0.0
 
     def test_profiles_at_the_cap_are_logged(self, monkeypatch, caplog):
         monkeypatch.setattr(mlsearch, "_MAX_EVALS", 3)
         with caplog.at_level(logging.WARNING, logger="relate.mlsearch"):
-            ml_tree_estimated(small_matrix(), use_gamma=True)
+            fit = ml_tree_estimated(small_matrix(), use_gamma=True)
+        assert fit.converged is False
         messages = [r.getMessage() for r in caplog.records]
         for what in ("p_inv", "the gamma shape"):
             hits = [m for m in messages if m.startswith(f"line search over {what} ")]
@@ -310,6 +335,50 @@ class TestLineSearchWarnings:
             ml_tree(small_matrix(), 0.06)
             ml_tree_estimated(small_matrix(), use_gamma=True)
         assert caplog.records == []
+
+
+class TestNewtonEdgeSearch:
+    @pytest.mark.parametrize("n_cats", [1, 2, 4])
+    @pytest.mark.parametrize("p_inv", [0.0, 0.06])
+    def test_optimum_matches_a_tight_brent_search_and_a_grid(self, n_cats, p_inv):
+        tree, model, prep = edge_case(n_cats, p_inv, seed=n_cats)
+        grid = np.concatenate(([MIN_BRANCH_LENGTH], np.geomspace(1e-4, MAX_BRANCH_LENGTH, 400)))
+        for u, v, _ in tree.edges():
+            work = tree.copy()
+            fn = edge_log_likelihood_fn(work, model, prep, u, v)
+            _, fun, _ = mlsearch._minimize_bounded(
+                lambda t: -fn(t)[0], MIN_BRANCH_LENGTH, MAX_BRANCH_LENGTH, 1e-10)
+            brent = max(-fun, fn(MIN_BRANCH_LENGTH)[0], fn(MAX_BRANCH_LENGTH)[0])
+            best_on_grid = max(fn(float(t))[0] for t in grid)
+            _, converged = mlsearch._optimize_edge(work, model, prep, u, v)
+            got = fn(work.length(u, v))[0]
+            assert converged is True
+            assert abs(got - brent) <= 1e-6
+            assert got >= best_on_grid - 1e-9
+
+    def test_a_pass_through_wrapper_of_the_closure_changes_nothing(self, monkeypatch):
+        # Benchmark tracing wraps each closure in a function that passes
+        # arguments and results through but drops attributes: the search
+        # must need nothing from the closure but its return value.
+        tree, model, prep = edge_case(2, 0.06, seed=5)
+        plain = optimize_branch_lengths(tree, model, prep)
+        original = phylik.edge_log_likelihood_fn
+        wrapped = []
+
+        def wrapping(*args, **kwargs):
+            closure = original(*args, **kwargs)
+
+            def wrapper(*call_args, **call_kwargs):
+                wrapped.append(call_args)
+                return closure(*call_args, **call_kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(phylik, "edge_log_likelihood_fn", wrapping)
+        out, ll, converged = optimize_branch_lengths(tree, model, prep)
+        assert wrapped
+        assert write_newick(out) == write_newick(plain[0])
+        assert (ll, converged) == plain[1:] == (plain[1], True)
 
 
 class TestNniSearch:
@@ -337,7 +406,7 @@ class TestNniSearch:
         assert fit.tree.n_leaves == 3
         # No internal edge, so no candidate moves: one trace entry.
         assert len(fit.search_trace) == 1
-        expected, ll = optimize_branch_lengths(
+        expected, ll, _ = optimize_branch_lengths(
             parse_newick("(A:0.1,B:0.1,C:0.1);"), model, m)
         assert fit.log_likelihood == pytest.approx(ll, abs=1e-9)
 
@@ -359,9 +428,8 @@ class TestMlTree:
         model = random_freq_model(4, seed=1)
         matrix = simulated_matrix(truth, model, 400, seed=7)
         fit = ml_tree(matrix, p_inv=0.01, config=SearchConfig(seed=2))
-        recomputed = total_log_likelihood(fit.tree, fit.model, matrix)
-        assert fit.log_likelihood == pytest.approx(
-            recomputed.total_log_likelihood, abs=1e-6)
+        recomputed = tree_log_likelihood(fit.tree, fit.model, matrix)
+        assert fit.log_likelihood == pytest.approx(recomputed, abs=1e-6)
 
     def test_same_seed_same_result(self):
         truth = parse_newick("((A:0.3,B:0.3):0.2,(C:0.3,D:0.3):0.2,E:0.5);")
@@ -381,6 +449,16 @@ class TestMlTree:
         double = ml_tree(matrix, 0.05, SearchConfig(seed=6, random_restarts=2))
         assert double.log_likelihood == pytest.approx(
             max(single_a.log_likelihood, single_b.log_likelihood), abs=1e-9)
+
+    def test_fits_report_whether_their_searches_converged(self, monkeypatch, caplog):
+        matrix = small_matrix()
+        assert ml_tree(matrix, 0.06).converged is True
+        with caplog.at_level(logging.WARNING, logger="relate.mlsearch"):
+            monkeypatch.setattr(mlsearch, "_MAX_SWEEPS", 1)
+            assert ml_tree(matrix, 0.06).converged is False
+            monkeypatch.setattr(mlsearch, "_MAX_SWEEPS", 50)
+            monkeypatch.setattr(mlsearch, "_MAX_NEWTON_EVALS", 2)
+            assert ml_tree(matrix, 0.06).converged is False
 
     def test_two_taxa_single_edge(self):
         m = matrix_from_rows(["A", "B"], [list("KRSKRR"), list("KRNKRS")])

@@ -35,11 +35,17 @@ from relate.permtest import (
     cluster_distance,
     language_distance,
     load_external_table,
+    _significance,
     pairwise_significance,
-    permutation_significance,
     run_permtest,
 )
 from relate.soundclass import default_alphabet, encode_form
+
+
+def cluster_significance(metric, wl, cluster_a, cluster_b, n_perm, seed):
+    """Statistics of one cluster pair against ``n_perm`` permutations, as
+    ``pairwise_significance`` computes them for each language pair."""
+    return _significance(_Engine(metric, wl, None), cluster_a, cluster_b, n_perm, seed)[1]
 
 
 def make_wordlist(*rows):
@@ -209,7 +215,7 @@ class TestPermutationSignificance:
         rows = [("A", f"c{i}", "ka") for i in range(6)]
         rows += [("B", f"c{i}", "pa") for i in range(6)]
         wl = make_wordlist(*rows)
-        result = permutation_significance(
+        result = cluster_significance(
             WordMetric.p1_dolgo(), wl, ["A"], ["B"], n_perm=50, seed=1)
         assert result.s_hat == 0.0
         assert result.p_value == 1.0
@@ -219,7 +225,7 @@ class TestPermutationSignificance:
         rows = [("A", f"c{i}", "ka") for i in range(6)]
         rows += [("B", f"c{i}", "ko") for i in range(6)]
         wl = make_wordlist(*rows)
-        result = permutation_significance(
+        result = cluster_significance(
             WordMetric.p1_dolgo(), wl, ["A"], ["B"], n_perm=50, seed=1)
         assert result.degenerate
         assert result.s_hat == 0.0
@@ -229,7 +235,7 @@ class TestPermutationSignificance:
         rows = related_wordlist_rows(4, 40, seed=3, mutation=0.1)
         wl = parse_wordlist(wordlist_text(rows))
         langs = sorted(wl.languages)
-        result = permutation_significance(
+        result = cluster_significance(
             WordMetric.p1_dolgo(), wl, langs[:2], langs[2:], n_perm=200, seed=5)
         assert result.p_value < 0.05
         assert result.s_hat > 0.0
@@ -239,15 +245,15 @@ class TestPermutationSignificance:
         wl = parse_wordlist(wordlist_text(rows))
         langs = sorted(wl.languages)
         args = (WordMetric.turchin(), wl, langs[:1], langs[1:])
-        one = permutation_significance(*args, n_perm=99, seed=7)
-        two = permutation_significance(*args, n_perm=99, seed=7)
+        one = cluster_significance(*args, n_perm=99, seed=7)
+        two = cluster_significance(*args, n_perm=99, seed=7)
         assert one == two
 
     def test_p_value_uses_the_add_one_estimator(self):
         rows = related_wordlist_rows(2, 15, seed=6, mutation=0.2)
         wl = parse_wordlist(wordlist_text(rows))
         langs = sorted(wl.languages)
-        result = permutation_significance(
+        result = cluster_significance(
             WordMetric.p1_dolgo(), wl, [langs[0]], [langs[1]], n_perm=99, seed=2)
         assert 1 / 100 <= result.p_value <= 1.0
         assert (result.p_value * 100) == pytest.approx(round(result.p_value * 100))
@@ -255,8 +261,9 @@ class TestPermutationSignificance:
     def test_needs_at_least_one_permutation(self):
         wl = make_wordlist(("A", "c1", "ka"), ("B", "c1", "po"))
         with pytest.raises(ValueError):
-            permutation_significance(
-                WordMetric.p1_dolgo(), wl, ["A"], ["B"], n_perm=0)
+            run_permtest(WordMetric.p1_dolgo(), wl, n_perm=0)
+        with pytest.raises(ValueError):
+            pairwise_significance(WordMetric.p1_dolgo(), wl, n_perm=0)
 
 
 class TestRunPermtest:
@@ -557,7 +564,7 @@ class TestChunkedReplicatesMatchOneAtATime:
         metric = three_metrics(wl)[metric_no]
         slots, tables, complement = oracle_inputs(metric, wl)
         langs = sorted(wl.languages)
-        result = permutation_significance(
+        result = cluster_significance(
             metric, wl, langs[3:], langs[:2], n_perm=_CHUNK + 1, seed=8)
         _, (s_hat, p_value, expected, degenerate) = reference_significance(
             slots, tables, langs[3:], langs[:2], _CHUNK + 1, 8, complement)

@@ -26,7 +26,6 @@ from relate.phylik import (
     prepare_sites,
     random_tree,
     site_log_likelihoods,
-    total_log_likelihood,
     write_newick,
 )
 from relate.submodel import SubstitutionModel
@@ -211,22 +210,22 @@ class TestLikelihoodProperties:
         tree = parse_newick("A;")
         matrix = matrix_from_rows(["A"], [["A"]])
         model = small_model()
-        res = total_log_likelihood(tree, model, matrix)
-        assert res.total_log_likelihood == pytest.approx(np.log(0.5))
+        total = site_log_likelihoods(tree, model, matrix).sum()
+        assert total == pytest.approx(np.log(0.5))
 
     def test_single_edge_zero_length(self):
         tree = parse_newick("(A:0.0,B:0.0);")
         matrix = matrix_from_rows(["A", "B"], [["B"], ["B"]])
         model = small_model()
-        res = total_log_likelihood(tree, model, matrix)
-        assert res.total_log_likelihood == pytest.approx(np.log(0.3))
+        total = site_log_likelihoods(tree, model, matrix).sum()
+        assert total == pytest.approx(np.log(0.3))
 
     def test_gap_leaf_is_missing_data(self):
         tree = parse_newick("(A:0.4,B:0.4);")
         matrix = matrix_from_rows(["A", "B"], [["B"], ["-"]])
         model = small_model()
-        res = total_log_likelihood(tree, model, matrix)
-        assert res.total_log_likelihood == pytest.approx(np.log(0.3))
+        total = site_log_likelihoods(tree, model, matrix).sum()
+        assert total == pytest.approx(np.log(0.3))
 
     def test_all_gap_site_contributes_nothing(self):
         tree = parse_newick("((A:0.3,B:0.2):0.1,C:0.4);")
@@ -237,12 +236,16 @@ class TestLikelihoodProperties:
         assert sites[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_total_equals_sum_of_sites(self):
+        # The edge closure sums its own per-site values: at the current
+        # length of any edge it gives the total of the per-site values.
         tree = random_tree([f"t{i}" for i in range(6)], seed=3)
         matrix = random_matrix(6, 40, "ABC", seed=4, gap_rate=0.1)
         model = small_model(p_inv=0.06)
-        res = total_log_likelihood(tree, model, matrix)
-        assert res.total_log_likelihood == pytest.approx(
-            float(res.per_site_log_likelihoods.sum()), abs=1e-8)
+        prep = prepare_sites(model, matrix)
+        total = float(site_log_likelihoods(tree, model, prep).sum())
+        for u, v, length in tree.edges():
+            fn = edge_log_likelihood_fn(tree, model, prep, u, v)
+            assert fn(length)[0] == pytest.approx(total, abs=1e-8)
 
     def test_root_choice_is_irrelevant(self):
         tree = random_tree([f"t{i}" for i in range(7)], seed=9)
@@ -273,15 +276,15 @@ class TestLikelihoodProperties:
         tree = parse_newick("((A:0.3,B:0.2):0.1,C:0.4);")
         matrix = matrix_from_rows(["A", "B", "C"],
                                   [["A"] * 6, ["A"] * 6, ["A"] * 6])
-        lo = total_log_likelihood(tree, small_model(p_inv=0.01), matrix)
-        hi = total_log_likelihood(tree, small_model(p_inv=0.3), matrix)
-        assert hi.total_log_likelihood > lo.total_log_likelihood
+        lo = site_log_likelihoods(tree, small_model(p_inv=0.01), matrix).sum()
+        hi = site_log_likelihoods(tree, small_model(p_inv=0.3), matrix).sum()
+        assert hi > lo
 
     def test_taxa_mismatch_reported(self):
         tree = parse_newick("((A:0.3,B:0.2):0.1,C:0.4);")
         matrix = matrix_from_rows(["A", "B", "X"], [["A"], ["B"], ["A"]])
         with pytest.raises(TaxaMismatchError):
-            total_log_likelihood(tree, small_model(), matrix)
+            site_log_likelihoods(tree, small_model(), matrix)
 
     def test_impossible_site_reports_underflow(self):
         # p_inv = 0 with a zero-probability state is impossible only when a
@@ -301,8 +304,8 @@ class TestLikelihoodProperties:
         matrix = random_matrix(30, 200, "ABC", seed=6)
         matrix = CharacterMatrix([f"t{i}" for i in range(30)], matrix.cells,
                                  matrix.concept_bounds)
-        res = total_log_likelihood(tree, small_model(), matrix)
-        assert np.isfinite(res.total_log_likelihood)
+        total = site_log_likelihoods(tree, small_model(), matrix).sum()
+        assert np.isfinite(total)
 
 
 def site_conditionals(tree, model, matrix, site):
@@ -346,7 +349,7 @@ def assert_matches_fresh_copy(tree, model, prep, cache):
         got_fn = edge_log_likelihood_fn(tree, model, prep, u, v, cache=cache)
         want_fn = edge_log_likelihood_fn(fresh, model, prep, u, v)
         for t in (length, 1e-6, 0.3, 4.0):
-            np.testing.assert_allclose(got_fn(t), want_fn(t), rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(got_fn(t)[0], want_fn(t)[0], rtol=1e-12, atol=0.0)
 
 
 class TestPartialCache:
@@ -392,6 +395,34 @@ class TestPartialCache:
         cache.set_length(u, w, 0.9)
         assert_matches_fresh_copy(tree, model, prep, cache)
 
+    @pytest.mark.parametrize("n_cats", [1, 2])
+    def test_entries_match_matrix_exponential_transitions(self, n_cats):
+        # Each entry is the product over the node's other neighbors of
+        # P(t) @ (their entry), rescaled per site, with P(t) from the
+        # matrix exponential of the generator.
+        matrix = random_matrix(6, 25, "ABCD", seed=n_cats, gap_rate=0.1)
+        tree = random_tree(matrix.taxa, seed=n_cats)
+        model = random_freq_model(
+            4, seed=n_cats, gamma_shape=0.7 if n_cats > 1 else None, n_rate_cats=n_cats)
+        cache = PartialCache(tree, model, prepare_sites(model, matrix))
+        cache.variable_site_logs()
+        for node in tree.adjacency:
+            if tree.is_leaf(node):
+                continue
+            for toward in tree.neighbors(node):
+                for k, rate in enumerate(model.rates):
+                    value, logs = cache.partial(node, toward)[k]
+                    product = np.ones_like(value)
+                    scale = np.zeros_like(logs)
+                    for child in tree.neighbors(node):
+                        if child != toward:
+                            child_value, child_logs = cache.partial(child, node)[k]
+                            p = oracles.expm_transition(model.freqs, tree.length(node, child), rate)
+                            product = product * (p @ child_value)
+                            scale = scale + child_logs
+                    np.testing.assert_allclose(
+                        value * np.exp(logs), product * np.exp(scale), rtol=1e-10, atol=0.0)
+
     def test_cache_of_another_tree_is_rejected(self):
         matrix = random_matrix(5, 10, "ABC", seed=1)
         tree = random_tree(matrix.taxa, seed=1)
@@ -426,14 +457,17 @@ class TestPartialCache:
         cache = PartialCache(tree, model, prep)
         assert np.all(np.isfinite(site_log_likelihoods(tree, model, prep, cache=cache)))
         fn = edge_log_likelihood_fn(tree, model, prep, n - 1, spine[-1], cache=cache)
-        assert np.isfinite(fn(0.1))
+        assert np.all(np.isfinite(fn(0.1)))
 
 
 class TestEdgeLogLikelihoodFn:
     LENGTHS = (MIN_BRANCH_LENGTH, 1e-6, 0.3, 4.0, MAX_BRANCH_LENGTH)
 
-    def edge_case(self, n_cats, p_inv, seed=3):
-        matrix = random_matrix(7, 60, "ABCD", seed=seed, gap_rate=0.1)
+    def edge_case(self, n_cats, p_inv, seed=3, n_sites=60):
+        matrix = random_matrix(7, n_sites, "ABCD", seed=seed, gap_rate=0.1)
+        cells = matrix.cells.copy()
+        cells[:, :5] = cells[0, :5]
+        matrix = CharacterMatrix(matrix.taxa, cells, matrix.concept_bounds)
         tree = random_tree(matrix.taxa, seed=seed)
         model = random_freq_model(
             4, seed=seed, p_inv=p_inv,
@@ -464,10 +498,25 @@ class TestEdgeLogLikelihoodFn:
                     prep.log_inv, model.p_inv, t)
                 for t in self.LENGTHS
             ]
-            got = [fn(t) for t in self.LENGTHS]
+            got = [fn(t)[0] for t in self.LENGTHS]
             assert got == want
-            # The closure reuses one buffer: calls in another order agree.
-            assert [fn(t) for t in reversed(self.LENGTHS)] == want[::-1]
+            # The closure reuses its buffers: calls in another order agree.
+            assert [fn(t)[0] for t in reversed(self.LENGTHS)] == want[::-1]
+
+    @pytest.mark.parametrize("n_cats", [1, 2, 4])
+    @pytest.mark.parametrize("p_inv", [0.0, 0.06])
+    def test_derivatives_match_high_precision_differentiation(self, n_cats, p_inv):
+        tree, model, prep, cache = self.edge_case(n_cats, p_inv, n_sites=30)
+        # Constant columns make the invariant component count.
+        assert np.isfinite(prep.log_inv).sum() >= 5
+        for u, v, _ in tree.edges()[:3]:
+            fn = edge_log_likelihood_fn(tree, model, prep, u, v, cache=cache)
+            for t in (MIN_BRANCH_LENGTH, 0.3, MAX_BRANCH_LENGTH):
+                _, slope, curvature = fn(t)
+                want = oracles.reference_edge_derivatives(
+                    model.freqs, model.mu, model.rates, cache.partial(u, v),
+                    cache.partial(v, u), prep.log_inv, model.p_inv, t)
+                assert (slope, curvature) == pytest.approx(want, rel=1e-8, abs=1e-9)
 
     @pytest.mark.parametrize("n_cats", [1, 2])
     def test_nan_length_names_site_0(self, n_cats):

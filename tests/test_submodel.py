@@ -12,6 +12,7 @@ from relate.submodel import (
     build_model,
     gamma_categories,
     transition_prob,
+    transition_step,
 )
 
 DOLGO = "PTSKMNRWJH"
@@ -106,6 +107,25 @@ class TestTransitionProb:
                 direct = transition_prob(model, t)
                 via_expm = oracles.expm_transition(model.freqs, t)
                 assert np.allclose(direct, via_expm, atol=1e-10)
+
+    def test_step_matches_matrix_exponential_product(self):
+        # P(t) @ v without the matrix agrees with exponentiating Q.
+        rng = np.random.default_rng(4)
+        for seed in range(6):
+            model = random_freq_model(3 + seed % 5, seed=seed)
+            values = rng.uniform(0.0, 1.0, size=(model.n_states, 7))
+            for t, rate in ((0.0, 1.0), (1e-6, 0.3), (0.3, 1.0), (1.7, 2.4), (10.0, 1.0)):
+                want = oracles.expm_transition(model.freqs, t, rate) @ values
+                np.testing.assert_allclose(
+                    transition_step(model, t, rate, values), want, rtol=1e-10, atol=1e-12)
+
+    def test_step_rejects_negative_time_and_rate(self):
+        model = random_freq_model(3, seed=1)
+        values = np.ones((3, 2))
+        with pytest.raises(ValueError):
+            transition_step(model, -0.1, 1.0, values)
+        with pytest.raises(ValueError):
+            transition_step(model, 0.1, -1.0, values)
 
     def test_rate_multiplier_rescales_time(self):
         model = random_freq_model(4, seed=9)

@@ -242,6 +242,7 @@ def cmd_mltree(args) -> int:
             "log_likelihood": fit.log_likelihood,
             "model": fit.model.to_dict(),
             "search_trace": [list(step) for step in fit.search_trace],
+            "converged": fit.converged,
         },
     }
     _write_json(args.out, payload)

@@ -84,7 +84,7 @@ class MlFit:
     ``search_trace`` holds (round, log likelihood) pairs, round 0 being the
     starting tree after branch-length optimization. ``converged`` is False
     when any search behind the fit stopped at its cap: a branch-length
-    sweep, the Newton search of an edge, or a profile of
+    sweep, the Newton search of an edge, the NNI rounds, or a profile of
     :func:`ml_tree_estimated`.
     """
 
@@ -482,6 +482,12 @@ def nni_search(
             tree, ll = best_tree, best_ll
             cache = phylik.PartialCache(tree, model, prep)
         trace.append((round_no, ll))
+    else:
+        converged = False
+        logger.warning(
+            "NNI search not converged at the cap of %d rounds: the last "
+            "round still applied an improving move", _MAX_NNI_ROUNDS,
+        )
     return MlFit(
         tree=tree, model=model, log_likelihood=ll,
         search_trace=tuple(trace), converged=converged,

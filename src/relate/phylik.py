@@ -769,9 +769,6 @@ def edge_log_likelihood_fn(
     freqs = model.freqs
     n_cats, n_sites = len(model.rates), prep.codes.shape[1]
     mixture = _invariant_mixture(model.p_inv, prep.log_inv)
-    # Every site has posterior weight one on its only rate when there is
-    # neither an invariant component nor a second rate.
-    unit_weights = mixture is None and n_cats == 1
     log_weight = (0.0 if mixture is None else mixture[0]) - math.log(n_cats)
     # Buffers reused by every call, which overwrites each before reading it.
     rows = np.empty((n_cats, n_sites))
@@ -799,18 +796,13 @@ def edge_log_likelihood_fn(
             row += logs
         site_logs = _mix_invariant(_logmeanexp(rows), mixture, out=mixed)
         total = _checked_total(site_logs)
-        if not unit_weights:
-            # ``rows`` becomes the weighted ratios w_k * r_k.
-            np.subtract(rows, site_logs, out=rows)
-            np.add(rows, log_weight, out=rows)
-            np.exp(rows, out=rows)
-            np.multiply(rows, ratios, out=rows)
-        weighted = ratios if unit_weights else rows
-        steps = weighted.sum(axis=1)
-        if n_cats == 1:
-            spread = float(squares[0] * (weighted[0] @ weighted[0]))
-        else:
-            spread = float(np.dot(betas, weighted, out=first) @ first)
+        # ``rows`` becomes the weighted ratios w_k * r_k.
+        np.subtract(rows, site_logs, out=rows)
+        np.add(rows, log_weight, out=rows)
+        np.exp(rows, out=rows)
+        np.multiply(rows, ratios, out=rows)
+        steps = rows.sum(axis=1)
+        spread = float(np.dot(betas, rows, out=first) @ first)
         return total, -float(betas @ steps), float(squares @ steps) - spread
 
     return edge_log_likelihood

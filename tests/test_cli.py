@@ -161,6 +161,7 @@ class TestMltreeCommand:
         assert fit["tree"].endswith(";")
         assert fit["model"]["p_inv"] == 0.05
         assert fit["log_likelihood"] < 0
+        assert fit["converged"] is True
         matrix = CharacterMatrix.from_alignment_text(
             saved.read_text(encoding="utf-8"))
         assert len(matrix.taxa) == 4

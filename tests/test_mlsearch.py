@@ -330,6 +330,22 @@ class TestLineSearchWarnings:
             assert len(hits) == mlsearch._OUTER_ROUNDS
             assert all("cap of 3 evaluations" in m for m in hits)
 
+    def test_nni_search_at_the_round_cap_is_logged(self, monkeypatch, caplog):
+        truth = parse_newick(
+            "((A:0.4,B:0.4):0.3,(C:0.4,D:0.4):0.3,E:0.6);")
+        matrix = simulated_matrix(truth, random_freq_model(3, seed=5), 300, seed=11)
+        model = build_model(matrix)
+        start = random_tree(sorted(matrix.taxa), seed=99)
+        # Uncapped, the search applies an improving move in round 1.
+        assert len(nni_search(start, model, matrix).search_trace) > 2
+        monkeypatch.setattr(mlsearch, "_MAX_NNI_ROUNDS", 1)
+        with caplog.at_level(logging.WARNING, logger="relate.mlsearch"):
+            fit = nni_search(start, model, matrix)
+        (record,) = caplog.records
+        assert "cap of 1 rounds" in record.getMessage()
+        assert fit.converged is False
+        assert [r for r, _ in fit.search_trace] == [0, 1]
+
     def test_default_fits_log_nothing(self, caplog):
         with caplog.at_level(logging.WARNING, logger="relate"):
             ml_tree(small_matrix(), 0.06)

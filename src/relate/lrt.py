@@ -2,12 +2,16 @@
 
 The null model fixes a small proportion of invariant sites, the alternative
 a larger one; more invariant mass is what shared vertical signal looks like
-under this site mixture. Because the heuristic search is stochastic and the
-regularity conditions behind the usual chi-square calibration do not hold,
-the observed statistic is compared against replicates simulated from the
-fitted null model: each of ``k`` paired runs searches both models on the
-data and on one fresh replicate, and a one-sided paired t-test asks whether
-the observed statistic exceeds its parametric-bootstrap counterpart.
+under this site mixture. Because the regularity conditions behind the usual
+chi-square calibration do not hold, the observed statistic is compared
+against replicates simulated from the fitted null model: each of ``k``
+paired runs searches both models on the data and on one fresh replicate,
+and a one-sided paired t-test asks whether the observed statistic exceeds
+its parametric-bootstrap counterpart.
+
+The data fits are deterministic and reused between runs whose starting trees
+are equal, so the observed statistic is the same in all ``k`` runs unless
+neighbor joining breaks ties differently; only the replicates vary.
 """
 
 from __future__ import annotations
@@ -98,7 +102,8 @@ def paired_t_test(observed, null) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class LrtRun:
-    """One paired run: fits on the data and the statistic of its replicate."""
+    """One paired run: fits on the data, the statistic of its replicate, and
+    whether all four fits (both proportions on data and replicate) converged."""
 
     index: int
     seed: int
@@ -106,6 +111,7 @@ class LrtRun:
     delta_null: float
     fit_null: MlFit
     fit_alt: MlFit
+    converged: bool
 
     def to_dict(self) -> dict:
         return {
@@ -117,6 +123,7 @@ class LrtRun:
             "tree_alt": write_newick(self.fit_alt.tree),
             "log_likelihood_null": self.fit_null.log_likelihood,
             "log_likelihood_alt": self.fit_alt.log_likelihood,
+            "converged": self.converged,
         }
 
 
@@ -226,6 +233,7 @@ def run_lrt(
                 delta_null=delta_null,
                 fit_null=fit_null,
                 fit_alt=fit_alt,
+                converged=all(f.converged for f in (fit_null, fit_alt, rep_null, rep_alt)),
             )
         )
 

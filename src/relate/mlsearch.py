@@ -144,9 +144,7 @@ def neighbor_joining(dist: np.ndarray, names, seed: int = 42) -> Phylogeny:
         adjacency[v][u] = length
 
     if m == 2:
-        length = min(max(dist[0, 1], 0.0), MAX_BRANCH_LENGTH)
-        adjacency[0][1] = length
-        adjacency[1][0] = length
+        connect(0, 1, dist[0, 1])
         return Phylogeny(adjacency, leaf_names)
 
     size = 2 * m
@@ -364,14 +362,6 @@ def _optimize_edge(
     best_t, best_ll, converged = _newton_length(fn, start, at_start, model.mu)
     if not converged:
         _warn_unconverged(f"the length of edge ({u}, {v})", _MAX_NEWTON_EVALS)
-    # With more than one rate the objective may have several maxima, so
-    # boundary optima (identical or saturated sequences) are checked
-    # directly.
-    for endpoint in (MIN_BRANCH_LENGTH, MAX_BRANCH_LENGTH):
-        if endpoint != best_t:
-            ll = fn(endpoint)[0]
-            if ll >= best_ll:
-                best_t, best_ll = endpoint, ll
     if best_ll > current_ll:
         cache.set_length(u, v, best_t)
         return best_ll - current_ll, converged
@@ -506,9 +496,10 @@ def ml_tree(
 
     Runs ``random_restarts`` searches from neighbor-joining starts whose
     tie-breaking seeds increase by one, and returns the best fit (first one
-    on ties). Two-taxon matrices return the single-edge tree directly. The
-    seed acts only through the starts (see :func:`start_trees`): calls
-    whose starts are equal return equal fits.
+    on ties). A two-taxon matrix gets a single-edge tree: its length is
+    optimized like any other, and there is no NNI move. The seed acts only
+    through the starts (see :func:`start_trees`): calls whose starts are
+    equal return equal fits.
     """
     if len(matrix.taxa) < 2:
         raise InsufficientDataError("tree inference needs at least 2 taxa")

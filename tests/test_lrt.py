@@ -17,6 +17,7 @@ from relate.lrt import (
     paired_t_test,
     run_lrt,
 )
+from relate import mlsearch
 from relate.mlsearch import SearchConfig, ml_tree, start_trees
 from relate.msa import CharacterMatrix
 from relate.phylik import parse_newick, write_newick
@@ -134,6 +135,14 @@ class TestRunLrt:
         assert [r.seed for r in report.runs] == [
             100 + RUN_SEED_STRIDE, 100 + 2 * RUN_SEED_STRIDE]
         assert [r.index for r in report.runs] == [1, 2]
+
+    def test_runs_report_whether_their_four_fits_converged(self, monkeypatch):
+        report = run_lrt(small_matrix(), self.config())
+        assert [run.converged for run in report.runs] == [True, True]
+        assert [run["converged"] for run in report.to_dict()["runs"]] == [True, True]
+        monkeypatch.setattr(mlsearch, "_MAX_SWEEPS", 1)
+        capped = run_lrt(small_matrix(), self.config())
+        assert False in [run["converged"] for run in capped.to_dict()["runs"]]
 
     def test_reproducible_end_to_end(self):
         one = run_lrt(small_matrix(), self.config())

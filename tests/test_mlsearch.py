@@ -127,18 +127,29 @@ class TestNeighborJoining:
         assert write_newick(one) == write_newick(two)
 
 
+# One rate without and with invariant sites, and two gamma categories with
+# them: the Newton search alone must reach a boundary optimum under each.
+BOUNDARY_MODELS = {
+    "one rate": {},
+    "one rate, p_inv": {"p_inv": 0.06},
+    "two rates, p_inv": {"p_inv": 0.06, "gamma_shape": 0.7, "n_rate_cats": 2},
+}
+
+
 class TestOptimizeBranchLengths:
-    def test_identical_sequences_hit_the_floor(self):
+    @pytest.mark.parametrize("model_args", BOUNDARY_MODELS.values(), ids=BOUNDARY_MODELS)
+    def test_identical_sequences_hit_the_floor(self, model_args):
         m = matrix_from_rows(["A", "B"], [list("KRSKRS"), list("KRSKRS")])
-        model = build_model(m)
+        model = build_model(m, **model_args)
         tree = parse_newick("(A:0.5,B:0.5);")
         out, _, _ = optimize_branch_lengths(tree, model, m)
         (u, v, w), = out.edges()
         assert w == MIN_BRANCH_LENGTH
 
-    def test_maximally_different_sequences_hit_the_cap(self):
+    @pytest.mark.parametrize("model_args", BOUNDARY_MODELS.values(), ids=BOUNDARY_MODELS)
+    def test_maximally_different_sequences_hit_the_cap(self, model_args):
         m = matrix_from_rows(["A", "B"], [list("KKKKKK"), list("RRRRRR")])
-        model = build_model(m)
+        model = build_model(m, **model_args)
         tree = parse_newick("(A:0.5,B:0.5);")
         out, _, _ = optimize_branch_lengths(tree, model, m)
         (u, v, w), = out.edges()
@@ -396,6 +407,34 @@ class TestNewtonEdgeSearch:
         assert write_newick(out) == write_newick(plain[0])
         assert (ll, converged) == plain[1:] == (plain[1], True)
 
+    @pytest.mark.parametrize("n_cats", [1, 2])
+    def test_interior_optima_are_found_without_evaluating_a_bound(self, n_cats, monkeypatch):
+        # Sites simulated on moderate lengths: every edge's optimum is interior.
+        tree = parse_newick("((A:0.3,B:0.2):0.2,(C:0.3,D:0.4):0.1,E:0.5);")
+        model = random_freq_model(
+            4, seed=n_cats, p_inv=0.06,
+            gamma_shape=0.7 if n_cats > 1 else None, n_rate_cats=n_cats)
+        prep = prepare_sites(model, simulated_matrix(tree, model, 400, seed=n_cats))
+        original = phylik.edge_log_likelihood_fn
+        lengths = []
+
+        def recording(*args, **kwargs):
+            closure = original(*args, **kwargs)
+
+            def wrapper(t):
+                lengths.append(t)
+                return closure(t)
+
+            return wrapper
+
+        monkeypatch.setattr(phylik, "edge_log_likelihood_fn", recording)
+        for u, v, _ in tree.edges():
+            mlsearch._optimize_edge(tree, model, prep, u, v)
+            assert MIN_BRANCH_LENGTH < tree.length(u, v) < MAX_BRANCH_LENGTH
+        assert lengths
+        assert MIN_BRANCH_LENGTH not in lengths
+        assert MAX_BRANCH_LENGTH not in lengths
+
 
 class TestNniSearch:
     def test_true_tree_is_a_local_optimum(self):
@@ -481,6 +520,12 @@ class TestMlTree:
         fit = ml_tree(m, p_inv=0.01)
         assert fit.tree.n_leaves == 2
         assert len(fit.tree.edges()) == 1
+
+    def test_two_identical_taxa_get_the_length_floor(self):
+        fit = ml_tree(CharacterMatrix(["A", "B"], [list("KRSKRS")] * 2), 0.06)
+        (_, _, length), = fit.tree.edges()
+        assert length == MIN_BRANCH_LENGTH
+        assert ":-" not in write_newick(fit.tree)
 
     def test_init_tree_shape(self):
         m = matrix_from_rows(

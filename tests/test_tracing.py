@@ -1,0 +1,49 @@
+"""The benchmark's tracer still wraps the library names it counts.
+
+``perfbench/tracing.py`` replaces functions of the ``relate`` modules by
+name, so renaming or deleting one of them breaks only a traced benchmark
+run. This test installs the tracer around a small fit and a small test.
+"""
+
+import sys
+from pathlib import Path
+
+from helpers import small_matrix
+from relate import lrt, mlsearch, permtest
+# Every module the tracer wraps, loaded before the namespaces are compared.
+from relate import bootsim, lexdata, msa, phylik, soundclass, submodel, treecmp  # noqa: F401
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+import tracing  # noqa: E402
+
+
+def namespaces() -> dict:
+    """Every attribute of the loaded ``relate`` modules and of the
+    permutation engine, by (owner, name)."""
+    owners = [m for n, m in sys.modules.items() if n == "relate" or n.startswith("relate.")]
+    owners.append(permtest._Engine)
+    return {
+        (owner.__name__, attr): value
+        for owner in owners
+        for attr, value in vars(owner).items()
+    }
+
+
+def test_install_counts_the_layers_and_uninstall_restores_them():
+    before = namespaces()
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer)
+    try:
+        wrapped = {key for key, value in namespaces().items() if before.get(key) is not value}
+        mlsearch.ml_tree(small_matrix(), 0.06)
+        lrt.run_lrt(small_matrix(), lrt.LrtConfig(k=2))
+    finally:
+        tracing.uninstall(undo)
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["phylik.edge_evals"][1] > 0
+    assert tracer.counts["mlsearch.edge_optimizations"] > 0
+    assert metrics["lrt.data_fits"][1] > 0
+    assert {("relate.mlsearch", "_optimize_edge"), ("relate.lrt", "ml_tree")} <= wrapped
+    after = namespaces()
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())

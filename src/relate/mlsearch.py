@@ -347,10 +347,11 @@ def _optimize_edge(
 ) -> tuple[float, bool]:
     """Maximize the likelihood over one branch length in place.
 
-    Returns the gain in log likelihood (never negative: the current length
-    is kept unless a better one is found) and whether the Newton search
-    converged. ``cache`` holds partials of ``tree`` and is kept current
-    with the new length.
+    A current length outside [MIN_BRANCH_LENGTH, MAX_BRANCH_LENGTH] is
+    first clamped to them. Returns the gain in log likelihood over the
+    clamped length (never negative: that length is kept unless a better
+    one is found) and whether the Newton search converged. ``cache`` holds
+    partials of ``tree`` and is kept current with the new length.
     """
     if cache is None:
         cache = phylik.PartialCache(tree, model, prep)
@@ -358,13 +359,14 @@ def _optimize_edge(
     current = tree.length(u, v)
     start = float(min(max(current, MIN_BRANCH_LENGTH), MAX_BRANCH_LENGTH))
     at_start = fn(start)
-    current_ll = at_start[0] if start == current else fn(current)[0]
     best_t, best_ll, converged = _newton_length(fn, start, at_start, model.mu)
     if not converged:
         _warn_unconverged(f"the length of edge ({u}, {v})", _MAX_NEWTON_EVALS)
-    if best_ll > current_ll:
+    if best_ll > at_start[0]:
         cache.set_length(u, v, best_t)
-        return best_ll - current_ll, converged
+        return best_ll - at_start[0], converged
+    if start != current:
+        cache.set_length(u, v, start)
     return 0.0, converged
 
 

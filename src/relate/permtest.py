@@ -3,12 +3,12 @@
 Word distances are crude by design: two words count as similar when their
 first consonant classes (or first two, for the stricter variant) agree.
 Language distance is the mean word distance over concepts both languages
-attest; cluster distance is the mean over all cross-language pairs. The
-significance of a fixed cluster pair is the probability, under independent
-per-language shuffles of words across attested concept slots, of a cluster
-distance at most as small as the observed one. Shuffling only within a
-language preserves each language's sound inventory and gap pattern while
-destroying any cross-language alignment of meanings.
+attest. The significance of a fixed language pair is the probability,
+under independent per-language shuffles of words across attested concept
+slots, of a language distance at most as small as the observed one.
+Shuffling only within a language preserves each language's sound
+inventory and gap pattern while destroying any cross-language alignment
+of meanings.
 
 The merge tree cannot reuse the fixed-pair null: agglomeration picks out
 whichever clusters happen to look similar, so every merge it reports is
@@ -137,9 +137,10 @@ class _Engine:
     words make a pair distance a handful of vectorized comparisons.
     Permutations shuffle the pointer arrays, never the caches. Slot arrays
     are stacked over replicates, shape (replicates, concepts), so one call
-    draws or scores a whole chunk of replicates; the observed arrangement
-    is a batch of one. Every replicate is computed with the same arithmetic
-    as on its own, so a seed gives the same results for any chunking.
+    draws or scores a whole chunk of replicates; ``observed`` holds the
+    observed arrangement as a batch of one. Every replicate is computed
+    with the same arithmetic as on its own, so a seed gives the same
+    results for any chunking.
     """
 
     def __init__(self, metric: WordMetric, wl: Wordlist, alphabet: ClassAlphabet | None):
@@ -150,7 +151,7 @@ class _Engine:
         self.concepts = wl.concepts
         slots = wl.entry_by_slot()
 
-        self.slot_word: dict[str, np.ndarray] = {}
+        self.observed: dict[str, np.ndarray] = {}
         self.attested: dict[str, np.ndarray] = {}
         self.forms: dict[str, list[str]] = {}
         self.first: dict[str, np.ndarray] = {}
@@ -175,7 +176,7 @@ class _Engine:
                     seconds.append(
                         class_index[seq[1]] if len(seq) > 1 else _NO_SECOND
                     )
-            self.slot_word[language] = pointers
+            self.observed[language] = pointers[np.newaxis]
             self.attested[language] = np.flatnonzero(pointers != _NO_WORD)
             self.forms[language] = forms
             self.first[language] = np.asarray(firsts, dtype=np.int64)
@@ -210,28 +211,22 @@ class _Engine:
         return out
 
     def language_distance(
-        self,
-        lang_a: str,
-        lang_b: str,
-        slots_a: np.ndarray | None = None,
-        slots_b: np.ndarray | None = None,
+        self, lang_a: str, lang_b: str, slots_a: np.ndarray, slots_b: np.ndarray
     ) -> np.ndarray:
         """Distance of two languages in every replicate of stacked slots.
 
-        Without slot arrays, the observed arrangement as a batch of one.
         Shuffles keep each language's attested concepts, so the shared
         concepts, and their count, are the same in every replicate.
         """
-        base_a, base_b = self.slot_word[lang_a], self.slot_word[lang_b]
-        shared = (base_a != _NO_WORD) & (base_b != _NO_WORD)
+        shared = (self.observed[lang_a][0] != _NO_WORD) & (
+            self.observed[lang_b][0] != _NO_WORD
+        )
         n = int(shared.sum())
         if n == 0:
             raise DistanceUndefinedError(
                 f"{lang_a!r} and {lang_b!r} share no attested concepts"
             )
-        wa = base_a[np.newaxis] if slots_a is None else slots_a
-        wb = base_b[np.newaxis] if slots_b is None else slots_b
-        ia, ib = wa[:, shared], wb[:, shared]
+        ia, ib = slots_a[:, shared], slots_b[:, shared]
         if self.metric.name == EXTERNAL:
             # The gathered block may come out column-major; each row must
             # be summed along contiguous memory to add its values in the
@@ -244,24 +239,6 @@ class _Engine:
         sa, sb = self.second[lang_a][ia], self.second[lang_b][ib]
         equal = (fa == fb) & ((sa == sb) | (sa == _NO_SECOND) | (sb == _NO_SECOND))
         return 1.0 - np.count_nonzero(equal, axis=1) / n
-
-    def cluster_distance(
-        self,
-        cluster_a,
-        cluster_b,
-        slots: dict[str, np.ndarray] | None = None,
-    ) -> np.ndarray:
-        """Mean language distance over cross-cluster pairs, per replicate."""
-        total = 0.0
-        for lang_a in cluster_a:
-            for lang_b in cluster_b:
-                total += self.language_distance(
-                    lang_a,
-                    lang_b,
-                    None if slots is None else slots[lang_a],
-                    None if slots is None else slots[lang_b],
-                )
-        return total / (len(cluster_a) * len(cluster_b))
 
     def permuted_slots(
         self, languages, rng: np.random.Generator, replicates: int = 1
@@ -290,47 +267,6 @@ class _Engine:
         return out
 
 
-def _check_clusters(wl: Wordlist, cluster_a, cluster_b):
-    a, b = set(cluster_a), set(cluster_b)
-    if not a or not b:
-        raise SchemaError("clusters must be non-empty")
-    if a & b:
-        raise SchemaError(f"clusters overlap on {sorted(a & b)}")
-    stray = (a | b) - set(wl.languages)
-    if stray:
-        raise SchemaError(f"unknown languages {sorted(stray)}")
-
-
-def language_distance(
-    metric: WordMetric,
-    wl: Wordlist,
-    lang_a: str,
-    lang_b: str,
-    alphabet: ClassAlphabet | None = None,
-) -> float:
-    """Mean word distance over the concepts both languages attest."""
-    _check_clusters(wl, [lang_a], [lang_b])
-    return float(_Engine(metric, wl, alphabet).language_distance(lang_a, lang_b)[0])
-
-
-def cluster_distance(
-    metric: WordMetric,
-    wl: Wordlist,
-    cluster_a,
-    cluster_b,
-    alphabet: ClassAlphabet | None = None,
-) -> float:
-    """Mean language distance over all cross-cluster pairs.
-
-    Pairs are added in sorted cluster order. A merge height of
-    :func:`run_permtest` is the mean of the same distances added in another
-    order, so the two can differ in the last bit.
-    """
-    _check_clusters(wl, cluster_a, cluster_b)
-    engine = _Engine(metric, wl, alphabet)
-    return float(engine.cluster_distance(sorted(cluster_a), sorted(cluster_b))[0])
-
-
 class PermutationResult(NamedTuple):
     s_hat: float
     p_value: float
@@ -354,27 +290,25 @@ def _summary(draws: np.ndarray, observed: float) -> PermutationResult:
 
 
 def _significance(
-    engine: _Engine,
-    cluster_a,
-    cluster_b,
-    n_perm: int,
-    seed: int,
+    engine: _Engine, lang_a: str, lang_b: str, n_perm: int, seed: int
 ) -> tuple[float, PermutationResult]:
-    cluster_a, cluster_b = sorted(cluster_a), sorted(cluster_b)
-    observed = float(engine.cluster_distance(cluster_a, cluster_b)[0])
+    """Observed distance of one language pair and its statistics against
+    ``n_perm`` shuffles of the two languages."""
+    observed = float(
+        engine.language_distance(
+            lang_a, lang_b, engine.observed[lang_a], engine.observed[lang_b]
+        )[0]
+    )
     rng = np.random.default_rng(seed)
-    union = cluster_a + cluster_b
-    draws = np.concatenate([
-        engine.cluster_distance(
-            cluster_a, cluster_b, engine.permuted_slots(union, rng, count)
+    draws = []
+    for count in _chunk_sizes(n_perm):
+        slots = engine.permuted_slots((lang_a, lang_b), rng, count)
+        draws.append(
+            engine.language_distance(lang_a, lang_b, slots[lang_a], slots[lang_b])
         )
-        for count in _chunk_sizes(n_perm)
-    ])
-    result = _summary(draws, observed)
+    result = _summary(np.concatenate(draws), observed)
     if result.degenerate:
-        logger.warning(
-            "all permuted distances are zero for %r vs %r", cluster_a, cluster_b
-        )
+        logger.warning("all permuted distances are zero for %r vs %r", lang_a, lang_b)
     return observed, result
 
 
@@ -427,21 +361,15 @@ class MergeTree:
 
 
 def _pair_matrix(
-    engine: _Engine,
-    languages: list[str],
-    slots: dict[str, np.ndarray] | None = None,
+    engine: _Engine, languages: list[str], slots: dict[str, np.ndarray]
 ) -> np.ndarray:
     """Language distance matrices, shape (replicates, languages, languages)."""
-    replicates = 1 if slots is None else len(slots[languages[0]])
-    out = np.zeros((replicates, len(languages), len(languages)))
+    out = np.zeros((len(slots[languages[0]]), len(languages), len(languages)))
     for i, lang_a in enumerate(languages):
         for j in range(i + 1, len(languages)):
             lang_b = languages[j]
             out[:, i, j] = out[:, j, i] = engine.language_distance(
-                lang_a,
-                lang_b,
-                None if slots is None else slots[lang_a],
-                None if slots is None else slots[lang_b],
+                lang_a, lang_b, slots[lang_a], slots[lang_b]
             )
     return out
 
@@ -516,7 +444,7 @@ def run_permtest(
         raise InsufficientDataError("clustering needs at least 2 languages")
     engine = _Engine(metric, wl, alphabet)
     languages = sorted(wl.languages)
-    observed = _agglomerate(_pair_matrix(engine, languages)[0], languages)
+    observed = _agglomerate(_pair_matrix(engine, languages, engine.observed)[0], languages)
     rng = np.random.default_rng(seed)
     heights = []
     for count in _chunk_sizes(n_perm):
@@ -557,9 +485,15 @@ def pairwise_significance(
     seed: int = 42,
     alphabet: ClassAlphabet | None = None,
 ) -> list[dict]:
-    """Permutation statistics for every language pair, as TSV-ready rows."""
+    """Permutation statistics for every language pair, as TSV-ready rows.
+
+    ``DIST`` is the mean word distance over the concepts both languages
+    attest; ``S_HAT`` and ``P`` compare it with shuffles of that pair alone.
+    """
     if n_perm < 1:
         raise ValueError("need at least one permutation")
+    if len(wl.languages) < 2:
+        raise InsufficientDataError("pairwise statistics need at least 2 languages")
     engine = _Engine(metric, wl, alphabet)
     rows = []
     pair_no = 0
@@ -567,9 +501,7 @@ def pairwise_significance(
         for lang_b in wl.languages[i + 1 :]:
             pair_no += 1
             pair_seed = seed + pair_no * PAIR_SEED_STRIDE
-            observed, result = _significance(
-                engine, [lang_a], [lang_b], n_perm, pair_seed
-            )
+            observed, result = _significance(engine, lang_a, lang_b, n_perm, pair_seed)
             rows.append(
                 {
                     "LANG_A": lang_a,

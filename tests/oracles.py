@@ -596,14 +596,6 @@ def reference_language_distance(tables, a, b, slots, complement=False):
     return float(1.0 - mean) if complement else float(mean)
 
 
-def _reference_cluster_distance(tables, cluster_a, cluster_b, slots, complement):
-    total = 0.0
-    for a in cluster_a:
-        for b in cluster_b:
-            total += reference_language_distance(tables, a, b, slots, complement)
-    return total / (len(cluster_a) * len(cluster_b))
-
-
 def _reference_statistics(draws, observed):
     expected = float(draws.mean())
     p_value = (int(np.count_nonzero(draws <= observed)) + 1) / (len(draws) + 1)
@@ -611,18 +603,14 @@ def _reference_statistics(draws, observed):
     return float(s_hat), float(p_value), expected, expected == 0.0
 
 
-def reference_significance(slots, tables, cluster_a, cluster_b, n_perm, seed,
-                           complement=False):
-    """Observed cluster distance and (s_hat, p, expected, degenerate)."""
-    cluster_a, cluster_b = sorted(cluster_a), sorted(cluster_b)
-    observed = _reference_cluster_distance(tables, cluster_a, cluster_b, slots,
-                                           complement)
+def _reference_significance(slots, tables, a, b, n_perm, seed, complement):
+    """Observed distance of a and b and (s_hat, p, expected, degenerate)."""
+    observed = reference_language_distance(tables, a, b, slots, complement)
     rng = np.random.default_rng(seed)
     draws = np.empty(n_perm)
     for r in range(n_perm):
-        shuffled = _reference_shuffle(slots, cluster_a + cluster_b, rng)
-        draws[r] = _reference_cluster_distance(tables, cluster_a, cluster_b,
-                                               shuffled, complement)
+        shuffled = _reference_shuffle(slots, [a, b], rng)
+        draws[r] = reference_language_distance(tables, a, b, shuffled, complement)
     return observed, _reference_statistics(draws, observed)
 
 
@@ -633,8 +621,8 @@ def reference_pairwise(slots, tables, languages, n_perm, seed, stride,
     rows = []
     pairs = [(a, b) for i, a in enumerate(languages) for b in languages[i + 1:]]
     for k, (a, b) in enumerate(pairs, start=1):
-        observed, (s_hat, p_value, _, _) = reference_significance(
-            slots, tables, [a], [b], n_perm, seed + k * stride, complement)
+        observed, (s_hat, p_value, _, _) = _reference_significance(
+            slots, tables, a, b, n_perm, seed + k * stride, complement)
         rows.append((a, b, observed, s_hat, p_value))
     return rows
 

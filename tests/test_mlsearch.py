@@ -155,6 +155,20 @@ class TestOptimizeBranchLengths:
         (u, v, w), = out.edges()
         assert w == MAX_BRANCH_LENGTH
 
+    @pytest.mark.parametrize("rows, newick, bound", [
+        (("KKKKKK", "KKKKKK"), "(A:0,B:0);", MIN_BRANCH_LENGTH),
+        (("KKKKKK", "RRRRRR"), "(A:20,B:20);", MAX_BRANCH_LENGTH),
+    ], ids=["below the floor", "above the cap"])
+    def test_a_start_outside_the_bounds_is_clamped(self, rows, newick, bound):
+        # Each start scores higher than its bound, so keeping the better
+        # of the start and the search result would keep the start.
+        m = matrix_from_rows(["A", "B"], [list(r) for r in rows])
+        model = build_model(m, alphabet=["K", "R", "S"])
+        out, ll, _ = optimize_branch_lengths(parse_newick(newick), model, m)
+        (u, v, w), = out.edges()
+        assert w == bound
+        assert ll == pytest.approx(tree_log_likelihood(out, model, m), abs=1e-12)
+
     def test_three_taxon_grid_oracle(self):
         m = matrix_from_rows(
             ["A", "B", "C"],

@@ -1,4 +1,4 @@
-"""Word metrics, cluster distances, and the permutation significance test."""
+"""Word metrics, language distances, and the permutation tests."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from oracles import (
     reference_language_distance,
     reference_merge_tree,
     reference_pairwise,
-    reference_significance,
     upgma_merge_heights,
     word_distance,
 )
@@ -32,8 +31,6 @@ from relate.permtest import (
     _agglomerate,
     _CHUNK,
     _Engine,
-    cluster_distance,
-    language_distance,
     load_external_table,
     _significance,
     pairwise_significance,
@@ -42,10 +39,23 @@ from relate.permtest import (
 from relate.soundclass import default_alphabet, encode_form
 
 
-def cluster_significance(metric, wl, cluster_a, cluster_b, n_perm, seed):
-    """Statistics of one cluster pair against ``n_perm`` permutations, as
-    ``pairwise_significance`` computes them for each language pair."""
-    return _significance(_Engine(metric, wl, None), cluster_a, cluster_b, n_perm, seed)[1]
+def pair_significance(metric, wl, lang_a, lang_b, n_perm, seed):
+    """Statistics of one language pair against ``n_perm`` permutations, as
+    ``pairwise_significance`` computes them for each pair."""
+    return _significance(_Engine(metric, wl, None), lang_a, lang_b, n_perm, seed)[1]
+
+
+def pair_distances(metric, wl):
+    """``DIST`` of every language pair, under both orders of the pair, as
+    the pairwise table reports it."""
+    out = {}
+    for row in pairwise_significance(metric, wl, n_perm=1, seed=0):
+        out[row["LANG_A"], row["LANG_B"]] = out[row["LANG_B"], row["LANG_A"]] = row["DIST"]
+    return out
+
+
+def language_distance(metric, wl, lang_a, lang_b):
+    return pair_distances(metric, wl)[lang_a, lang_b]
 
 
 def make_wordlist(*rows):
@@ -153,59 +163,11 @@ class TestLanguageDistance:
         with pytest.raises(DistanceUndefinedError):
             language_distance(WordMetric.p1_dolgo(), wl, "A", "B")
 
-    def test_unknown_language_is_rejected(self):
-        wl = make_wordlist(("A", "c1", "ka"), ("B", "c1", "po"))
-        with pytest.raises(SchemaError):
-            language_distance(WordMetric.p1_dolgo(), wl, "A", "X")
-
     def test_multiple_forms_per_slot_are_rejected(self):
         wl = make_wordlist(
             ("A", "c1", "ka"), ("A", "c1", "po"), ("B", "c1", "ko"))
         with pytest.raises(SchemaError, match="'A' / 'c1' holds 2 forms"):
             language_distance(WordMetric.p1_dolgo(), wl, "A", "B")
-
-
-class TestClusterDistance:
-    def two_cluster_wordlist(self):
-        # d(A,B) = 0.2 and d(A,C) = 0.4 over five concepts.
-        rows = []
-        a_classes = ["ka", "ka", "ka", "ka", "ka"]
-        b_classes = ["ka", "ka", "ka", "ka", "pa"]
-        c_classes = ["ka", "ka", "ka", "pa", "ta"]
-        for i in range(5):
-            rows += [("A", f"c{i}", a_classes[i]),
-                     ("B", f"c{i}", b_classes[i]),
-                     ("C", f"c{i}", c_classes[i])]
-        return make_wordlist(*rows)
-
-    def test_singletons_reduce_to_language_distance(self):
-        wl = self.two_cluster_wordlist()
-        metric = WordMetric.p1_dolgo()
-        assert cluster_distance(metric, wl, ["A"], ["B"]) == language_distance(
-            metric, wl, "A", "B")
-
-    def test_mean_over_cross_pairs(self):
-        wl = self.two_cluster_wordlist()
-        metric = WordMetric.p1_dolgo()
-        assert language_distance(metric, wl, "A", "B") == pytest.approx(0.2)
-        assert language_distance(metric, wl, "A", "C") == pytest.approx(0.4)
-        assert cluster_distance(metric, wl, ["A"], ["B", "C"]) == pytest.approx(0.3)
-
-    def test_symmetric(self):
-        wl = self.two_cluster_wordlist()
-        metric = WordMetric.turchin()
-        assert cluster_distance(metric, wl, ["A"], ["B", "C"]) == pytest.approx(
-            cluster_distance(metric, wl, ["B", "C"], ["A"]))
-
-    def test_overlapping_clusters_are_rejected(self):
-        wl = self.two_cluster_wordlist()
-        with pytest.raises(SchemaError):
-            cluster_distance(WordMetric.p1_dolgo(), wl, ["A", "B"], ["B", "C"])
-
-    def test_empty_cluster_is_rejected(self):
-        wl = self.two_cluster_wordlist()
-        with pytest.raises(SchemaError):
-            cluster_distance(WordMetric.p1_dolgo(), wl, [], ["A"])
 
 
 class TestPermutationSignificance:
@@ -215,8 +177,8 @@ class TestPermutationSignificance:
         rows = [("A", f"c{i}", "ka") for i in range(6)]
         rows += [("B", f"c{i}", "pa") for i in range(6)]
         wl = make_wordlist(*rows)
-        result = cluster_significance(
-            WordMetric.p1_dolgo(), wl, ["A"], ["B"], n_perm=50, seed=1)
+        result = pair_significance(
+            WordMetric.p1_dolgo(), wl, "A", "B", n_perm=50, seed=1)
         assert result.s_hat == 0.0
         assert result.p_value == 1.0
         assert not result.degenerate
@@ -225,8 +187,8 @@ class TestPermutationSignificance:
         rows = [("A", f"c{i}", "ka") for i in range(6)]
         rows += [("B", f"c{i}", "ko") for i in range(6)]
         wl = make_wordlist(*rows)
-        result = cluster_significance(
-            WordMetric.p1_dolgo(), wl, ["A"], ["B"], n_perm=50, seed=1)
+        result = pair_significance(
+            WordMetric.p1_dolgo(), wl, "A", "B", n_perm=50, seed=1)
         assert result.degenerate
         assert result.s_hat == 0.0
         assert result.expected_distance == 0.0
@@ -235,8 +197,8 @@ class TestPermutationSignificance:
         rows = related_wordlist_rows(4, 40, seed=3, mutation=0.1)
         wl = parse_wordlist(wordlist_text(rows))
         langs = sorted(wl.languages)
-        result = cluster_significance(
-            WordMetric.p1_dolgo(), wl, langs[:2], langs[2:], n_perm=200, seed=5)
+        result = pair_significance(
+            WordMetric.p1_dolgo(), wl, langs[0], langs[1], n_perm=200, seed=5)
         assert result.p_value < 0.05
         assert result.s_hat > 0.0
 
@@ -244,17 +206,17 @@ class TestPermutationSignificance:
         rows = related_wordlist_rows(3, 20, seed=4, mutation=0.3)
         wl = parse_wordlist(wordlist_text(rows))
         langs = sorted(wl.languages)
-        args = (WordMetric.turchin(), wl, langs[:1], langs[1:])
-        one = cluster_significance(*args, n_perm=99, seed=7)
-        two = cluster_significance(*args, n_perm=99, seed=7)
+        args = (WordMetric.turchin(), wl, langs[0], langs[1])
+        one = pair_significance(*args, n_perm=99, seed=7)
+        two = pair_significance(*args, n_perm=99, seed=7)
         assert one == two
 
     def test_p_value_uses_the_add_one_estimator(self):
         rows = related_wordlist_rows(2, 15, seed=6, mutation=0.2)
         wl = parse_wordlist(wordlist_text(rows))
         langs = sorted(wl.languages)
-        result = cluster_significance(
-            WordMetric.p1_dolgo(), wl, [langs[0]], [langs[1]], n_perm=99, seed=2)
+        result = pair_significance(
+            WordMetric.p1_dolgo(), wl, langs[0], langs[1], n_perm=99, seed=2)
         assert 1 / 100 <= result.p_value <= 1.0
         assert (result.p_value * 100) == pytest.approx(round(result.p_value * 100))
 
@@ -290,11 +252,12 @@ class TestRunPermtest:
         wl = self.four_language_wordlist()
         metric = WordMetric.p1_dolgo()
         names = sorted(wl.languages)
+        pairs = pair_distances(metric, wl)
         dist = np.zeros((4, 4))
         for i, x in enumerate(names):
             for j, y in enumerate(names):
                 if i < j:
-                    dist[i, j] = dist[j, i] = language_distance(metric, wl, x, y)
+                    dist[i, j] = dist[j, i] = pairs[x, y]
         expected = upgma_merge_heights(dist, names)
 
         tree = run_permtest(metric, wl, n_perm=30, seed=1)
@@ -461,6 +424,11 @@ class TestPairwiseSignificance:
         with pytest.raises(ValueError):
             pairwise_significance(WordMetric.p1_dolgo(), wl, n_perm=0)
 
+    def test_single_language_is_rejected(self):
+        wl = make_wordlist(("A", "c1", "ka"))
+        with pytest.raises(InsufficientDataError):
+            pairwise_significance(WordMetric.p1_dolgo(), wl)
+
 
 def oracle_inputs(metric, wl):
     """Slots and word tables for the one-replicate-at-a-time oracles.
@@ -559,18 +527,6 @@ class TestChunkedReplicatesMatchOneAtATime:
             slots, tables, wl.languages, n_perm, 4, PAIR_SEED_STRIDE, complement)
 
     @pytest.mark.parametrize("metric_no", range(3))
-    def test_cluster_pair(self, metric_no):
-        wl = gapped_wordlist()
-        metric = three_metrics(wl)[metric_no]
-        slots, tables, complement = oracle_inputs(metric, wl)
-        langs = sorted(wl.languages)
-        result = cluster_significance(
-            metric, wl, langs[3:], langs[:2], n_perm=_CHUNK + 1, seed=8)
-        _, (s_hat, p_value, expected, degenerate) = reference_significance(
-            slots, tables, langs[3:], langs[:2], _CHUNK + 1, 8, complement)
-        assert tuple(result) == (s_hat, p_value, expected, degenerate)
-
-    @pytest.mark.parametrize("metric_no", range(3))
     def test_stacked_distances_match_each_replicate(self, metric_no):
         # With more than one replicate the gathered (replicates, concepts)
         # block of table values comes out column-major, and summing it that
@@ -628,24 +584,21 @@ class TestMergeHeights:
     def test_heights_are_block_means_of_language_distances(self, metric_no):
         # A merge height is the mean over the block of language distances
         # with the older cluster's languages as rows and the newer one's as
-        # columns (singletons are oldest, in name order). cluster_distance
-        # adds the same values in another order, so it can differ in the
-        # last bits, but never by more.
+        # columns (singletons are oldest, in name order).
         wl = gapped_wordlist()
         metric = three_metrics(wl)[metric_no]
         tree = run_permtest(metric, wl, n_perm=1, seed=0)
         names = sorted(wl.languages)
+        pairs = pair_distances(metric, wl)
         dist = np.zeros((len(names), len(names)))
         for i, a in enumerate(names):
             for j, b in enumerate(names):
                 if i != j:
-                    dist[i, j] = language_distance(metric, wl, a, b)
+                    dist[i, j] = pairs[a, b]
         born = {(name,): k for k, name in enumerate(names)}
         for step, merge in enumerate(tree.merges):
             older, newer = sorted((merge.left, merge.right), key=born.get)
             block = dist[np.ix_([names.index(x) for x in older],
                                 [names.index(x) for x in newer])]
             assert merge.distance == float(block.mean())
-            assert merge.distance == pytest.approx(
-                cluster_distance(metric, wl, merge.left, merge.right), rel=1e-14)
             born[tuple(sorted(merge.left + merge.right))] = len(names) + step

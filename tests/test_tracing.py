@@ -2,14 +2,16 @@
 
 ``perfbench/tracing.py`` replaces functions of the ``relate`` modules by
 name, so renaming or deleting one of them breaks only a traced benchmark
-run. This test installs the tracer around a small fit and a small test.
+run. These tests install the tracer around small fits and small tests, and
+pin what the permutation counters count.
 """
 
 import sys
 from pathlib import Path
 
-from helpers import small_matrix
+from helpers import related_wordlist_rows, small_matrix, wordlist_text
 from relate import lrt, mlsearch, permtest
+from relate.lexdata import parse_wordlist
 # Every module the tracer wraps, loaded before the namespaces are compared.
 from relate import bootsim, lexdata, msa, phylik, soundclass, submodel, treecmp  # noqa: F401
 
@@ -47,3 +49,29 @@ def test_install_counts_the_layers_and_uninstall_restores_them():
     after = namespaces()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+def traced_layers(run) -> dict:
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer)
+    try:
+        run()
+    finally:
+        tracing.uninstall(undo)
+    return tracing.layer_metrics(tracer)
+
+
+def test_permutation_counters_count_draw_and_distance_calls():
+    # Three languages make three pairs, and _CHUNK + 1 replicates make two
+    # chunks. The merge tree draws once per chunk and scores every pair
+    # once on the observed slots and once per chunk; each pairwise cell
+    # does the same for its own pair.
+    wl = parse_wordlist(wordlist_text(related_wordlist_rows(3, 12, seed=1, mutation=0.3)))
+    metric = permtest.WordMetric.p1_dolgo()
+    n_perm = permtest._CHUNK + 1
+    tree = traced_layers(lambda: permtest.run_permtest(metric, wl, n_perm=n_perm))
+    assert tree["permtest.replicates"][1] == 2
+    assert tree["permtest.pair_distance_calls"][1] == 3 * (1 + 2)
+    pairs = traced_layers(lambda: permtest.pairwise_significance(metric, wl, n_perm=n_perm))
+    assert pairs["permtest.replicates"][1] == 3 * 2
+    assert pairs["permtest.pair_distance_calls"][1] == 3 * (1 + 2)

@@ -603,7 +603,7 @@ def _reference_statistics(draws, observed):
     return float(s_hat), float(p_value), expected, expected == 0.0
 
 
-def _reference_significance(slots, tables, a, b, n_perm, seed, complement):
+def reference_significance(slots, tables, a, b, n_perm, seed, complement):
     """Observed distance of a and b and (s_hat, p, expected, degenerate)."""
     observed = reference_language_distance(tables, a, b, slots, complement)
     rng = np.random.default_rng(seed)
@@ -621,7 +621,7 @@ def reference_pairwise(slots, tables, languages, n_perm, seed, stride,
     rows = []
     pairs = [(a, b) for i, a in enumerate(languages) for b in languages[i + 1:]]
     for k, (a, b) in enumerate(pairs, start=1):
-        observed, (s_hat, p_value, _, _) = _reference_significance(
+        observed, (s_hat, p_value, _, _) = reference_significance(
             slots, tables, a, b, n_perm, seed + k * stride, complement)
         rows.append((a, b, observed, s_hat, p_value))
     return rows

@@ -9,6 +9,7 @@ from oracles import (
     reference_language_distance,
     reference_merge_tree,
     reference_pairwise,
+    reference_significance,
     upgma_merge_heights,
     word_distance,
 )
@@ -168,6 +169,49 @@ class TestLanguageDistance:
             ("A", "c1", "ka"), ("A", "c1", "po"), ("B", "c1", "ko"))
         with pytest.raises(SchemaError, match="'A' / 'c1' holds 2 forms"):
             language_distance(WordMetric.p1_dolgo(), wl, "A", "B")
+
+
+class TestClusterDistance:
+    """``run_permtest`` merges two clusters at the mean language distance
+    over their cross pairs."""
+
+    def two_cluster_wordlist(self, names=("A", "B", "C")):
+        # d(A,B) = 0.2, d(A,C) = 0.4 and d(B,C) = 0.6 over five concepts.
+        classes = (["ka", "ka", "ka", "ka", "ka"],
+                   ["ka", "ka", "ka", "ka", "pa"],
+                   ["ka", "ka", "ta", "ta", "ka"])
+        return make_wordlist(*[(name, f"c{i}", form)
+                               for name, forms in zip(names, classes)
+                               for i, form in enumerate(forms)])
+
+    def test_singletons_reduce_to_language_distance(self):
+        wl = self.two_cluster_wordlist()
+        metric = WordMetric.p1_dolgo()
+        first = run_permtest(metric, wl, n_perm=1, seed=0).merges[0]
+        assert (first.left, first.right) == (("A",), ("B",))
+        assert first.distance == language_distance(metric, wl, "A", "B")
+
+    def test_mean_over_cross_pairs(self):
+        wl = self.two_cluster_wordlist()
+        metric = WordMetric.p1_dolgo()
+        assert language_distance(metric, wl, "A", "B") == pytest.approx(0.2)
+        assert language_distance(metric, wl, "A", "C") == pytest.approx(0.4)
+        assert language_distance(metric, wl, "B", "C") == pytest.approx(0.6)
+        root = run_permtest(metric, wl, n_perm=1, seed=0).root
+        assert sorted(root.left + root.right) == ["A", "B", "C"]
+        assert root.distance == pytest.approx(0.5)
+
+    def test_symmetric(self):
+        # Naming the languages in reverse order makes B the older side of
+        # the first merge, so its block of distances is read the other way
+        # round; the merge distances stay the same.
+        metric = WordMetric.turchin()
+        forward = run_permtest(metric, self.two_cluster_wordlist(), n_perm=1, seed=0)
+        reverse = run_permtest(
+            metric, self.two_cluster_wordlist(("Z", "Y", "X")), n_perm=1, seed=0)
+        assert reverse.merges[0].left == ("Y",)
+        assert [m.distance for m in reverse.merges] == pytest.approx(
+            [m.distance for m in forward.merges])
 
 
 class TestPermutationSignificance:
@@ -525,6 +569,18 @@ class TestChunkedReplicatesMatchOneAtATime:
         got = [(r["LANG_A"], r["LANG_B"], r["DIST"], r["S_HAT"], r["P"]) for r in rows]
         assert got == reference_pairwise(
             slots, tables, wl.languages, n_perm, 4, PAIR_SEED_STRIDE, complement)
+
+    @pytest.mark.parametrize("metric_no", range(3))
+    def test_language_pair(self, metric_no):
+        wl = gapped_wordlist()
+        metric = three_metrics(wl)[metric_no]
+        slots, tables, complement = oracle_inputs(metric, wl)
+        langs = sorted(wl.languages)
+        got = _significance(
+            _Engine(metric, wl, None), langs[3], langs[0], n_perm=_CHUNK + 1, seed=8)
+        observed, stats = reference_significance(
+            slots, tables, langs[3], langs[0], _CHUNK + 1, 8, complement)
+        assert (got[0], tuple(got[1])) == (observed, stats)
 
     @pytest.mark.parametrize("metric_no", range(3))
     def test_stacked_distances_match_each_replicate(self, metric_no):

@@ -189,12 +189,8 @@ def cmd_permtest(args) -> int:
         metric = WordMetric.turchin()
 
     tree = run_permtest(metric, wl, n_perm=args.n_perm, seed=args.seed, alphabet=alphabet)
-    payload = {
-        "schema": "relate/permtest/1",
-        "manifest": _manifest(args, inputs),
-        "result": tree.to_dict(),
-    }
-    _write_json(args.out, payload)
+    # Both results are computed, and the table written, before the report,
+    # so a failure on either leaves no report behind.
     if args.pairwise:
         rows = pairwise_significance(
             metric, wl, n_perm=args.n_perm, seed=args.seed, alphabet=alphabet
@@ -208,6 +204,12 @@ def cmd_permtest(args) -> int:
                     f"{row['LANG_A']}\t{row['LANG_B']}\t{row['DIST']:.10g}"
                     f"\t{row['S_HAT']:.10g}\t{row['P']:.10g}\n"
                 )
+    payload = {
+        "schema": "relate/permtest/1",
+        "manifest": _manifest(args, inputs),
+        "result": tree.to_dict(),
+    }
+    _write_json(args.out, payload)
     root = tree.root
     print(f"{tree.verdict()} root_p={root.p_value:.6g} root_s_hat={root.s_hat:.6g}")
     return EXIT_OK

@@ -14,6 +14,9 @@ The merge tree cannot reuse the fixed-pair null: agglomeration picks out
 whichever clusters happen to look similar, so every merge it reports is
 biased low relative to a null that holds the pair fixed. Each permutation
 is therefore clustered from scratch and merges of equal rank are compared.
+The permutations of a chunk are clustered together, one merge step of
+every replicate at a time, with the same merges and heights as clustering
+each one alone.
 """
 
 from __future__ import annotations
@@ -85,7 +88,8 @@ def load_external_table(source: IO | bytes | str) -> dict[tuple[str, str, str, s
     """Read a word-distance table from TSV.
 
     Columns LANG_A, WORD_A, LANG_B, WORD_B, DIST. Both orientations of each
-    pair are stored so lookups need not worry about order.
+    pair are stored so lookups need not worry about order. A pair may come
+    back in either orientation only with the same DIST.
     """
     text = read_text(source, "distance table")
     if not text.strip():
@@ -110,6 +114,13 @@ def load_external_table(source: IO | bytes | str) -> dict[tuple[str, str, str, s
             raise ParseError("DIST must be a number", line=lineno) from None
         if not 0.0 <= dist < float("inf"):
             raise ParseError("DIST must be finite and non-negative", line=lineno)
+        earlier = table.get((la, wa, lb, wb), dist)
+        if earlier != dist:
+            raise ParseError(
+                f"DIST {dist!r} for {la} {wa!r} vs {lb} {wb!r} conflicts with "
+                f"an earlier {earlier!r}",
+                line=lineno,
+            )
         table[(la, wa, lb, wb)] = dist
         table[(lb, wb, la, wa)] = dist
     return table
@@ -374,44 +385,92 @@ def _pair_matrix(
     return out
 
 
-def _agglomerate(
-    base: np.ndarray, languages: list[str]
-) -> list[tuple[tuple[str, ...], tuple[str, ...], float]]:
-    """Average-linkage merge sequence over a language distance matrix.
+def _cluster_stack(bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Average-linkage merges of a stack of distance matrices, all at once.
+
+    ``bases`` has shape (replicates, n, n) over languages in name order.
+    Returns each replicate's merges as ``(pairs, heights)``: ``pairs``
+    (replicates, n - 1, 2) names each side by its smallest language index,
+    ``heights`` (replicates, n - 1) is the height of each merge.
 
     A candidate's height is the mean of the base matrix over all its
     cross-language pairs, taken over the block with the older cluster's
     languages as rows and the newer cluster's as columns, rather than an
-    incremental linkage update that drifts with every merge. A cluster's
-    languages never change, so each candidate's ``(height, pair)`` key is
-    computed once, when the newer cluster forms, and dropped when either
-    side merges: a merge adds only the new cluster's blocks.
+    incremental linkage update that drifts with every merge. Clusters are
+    disjoint, so ordering candidate pairs by their languages is ordering
+    them by the sides' smallest indices: candidates sit in the upper
+    triangle of an (n, n) table per replicate at those indices, and the
+    first minimum in row-major order is the closest pair, ties to the
+    lexicographically smallest. Every step merges one pair in each
+    replicate and adds the blocks of the new cluster; blocks of one shape
+    are gathered together and summed row by row, which adds each block's
+    values in the same order as summing it on its own.
     """
+    replicates, n, _ = bases.shape
+    each = np.arange(replicates)
+    flat_bases = bases.reshape(-1)
+    candidates = np.where(np.triu(np.ones((n, n), dtype=bool), 1), bases, np.inf)
+    flat_candidates = candidates.reshape(replicates, n * n)
+    # Each language's cluster, named by its smallest language index, and
+    # the size of each cluster under that name (0 once merged away).
+    label = np.tile(np.arange(n), (replicates, 1))
+    size = np.ones((replicates, n), dtype=np.int64)
+    pairs = np.empty((replicates, n - 1, 2), dtype=np.int64)
+    heights = np.empty((replicates, n - 1))
+    for step in range(n - 1):
+        best = flat_candidates.argmin(axis=1)
+        keep, gone = np.divmod(best, n)
+        pairs[:, step, 0], pairs[:, step, 1] = keep, gone
+        heights[:, step] = flat_candidates[each, best]
+        if step == n - 2:
+            break
+        candidates[each, gone, :] = np.inf
+        candidates[each, :, gone] = np.inf
+        label = np.where(label == gone[:, np.newaxis], keep[:, np.newaxis], label)
+        size[each, keep] += size[each, gone]
+        size[each, gone] = 0
+
+        # Languages grouped by cluster, each cluster's in index order,
+        # and where each cluster starts in that order.
+        order = np.argsort(label * n + np.arange(n), axis=1)
+        start = np.cumsum(size, axis=1) - size
+        # Every other cluster is older than the new one.
+        others = size > 0
+        others[each, keep] = False
+        r, c = np.nonzero(others)
+        new = keep[r]
+        shapes, group = np.unique(size[r, c] * n + size[r, new], return_inverse=True)
+        for g, shape in enumerate(shapes.tolist()):
+            members = np.flatnonzero(group == g)
+            rg, cg, ng = r[members], c[members], new[members]
+            older_size, newer_size = divmod(shape, n)
+            older = order[rg[:, np.newaxis], start[rg, cg][:, np.newaxis] + np.arange(older_size)]
+            newer = order[rg[:, np.newaxis], start[rg, ng][:, np.newaxis] + np.arange(newer_size)]
+            index = (
+                (rg * n * n)[:, np.newaxis, np.newaxis]
+                + older[:, :, np.newaxis] * n
+                + newer[:, np.newaxis, :]
+            )
+            block_size = older_size * newer_size
+            blocks = flat_bases[index.reshape(len(members), block_size)]
+            candidates[rg, np.minimum(cg, ng), np.maximum(cg, ng)] = (
+                np.add.reduce(blocks, axis=1) / block_size
+            )
+    return pairs, heights
+
+
+def _named_merges(
+    pairs: np.ndarray, heights: np.ndarray, languages: list[str]
+) -> list[tuple[tuple[str, ...], tuple[str, ...], float]]:
+    """One replicate's merges from ``_cluster_stack`` as (left, right,
+    height) with each side's languages; the left side holds the smaller
+    language index."""
     clusters = [(lang,) for lang in languages]
-    rows = {cluster: np.array([k]) for k, cluster in enumerate(clusters)}
-    pair_values = base.tolist()
-    candidates = [
-        (pair_values[i][j], tuple(sorted((clusters[i], clusters[j]))))
-        for i in range(len(clusters))
-        for j in range(i + 1, len(clusters))
-    ]
     stages = []
-    while len(clusters) > 1:
-        distance, (left, right) = min(candidates)
-        stages.append((left, right, distance))
-        merged = tuple(sorted(left + right))
-        rows[merged] = np.sort(np.concatenate((rows[left], rows[right])))
-        clusters = [c for c in clusters if c != left and c != right]
-        candidates = [
-            key for key in candidates if left not in key[1] and right not in key[1]
-        ]
-        for older in clusters:
-            # base[np.ix_(rows[older], rows[merged])], summed and divided
-            # as block.mean() does, without the wrappers' overhead.
-            block = base[rows[older][:, np.newaxis], rows[merged]]
-            height = float(np.add.reduce(block, axis=None) / block.size)
-            candidates.append((height, tuple(sorted((older, merged)))))
-        clusters.append(merged)
+    for (keep, gone), height in zip(pairs.tolist(), heights.tolist()):
+        left, right = clusters[keep], clusters[gone]
+        stages.append((left, right, height))
+        clusters[keep] = tuple(sorted(left + right))
     return stages
 
 
@@ -434,9 +493,9 @@ def run_permtest(
     deliberately picks similar clusters and would push root p-values
     toward 1 even on random data.
 
-    Replicates are drawn and scored in chunks, all replicates of a chunk
-    at once; each is still clustered on its own, and a given seed gives the
-    same draws and heights as scoring one replicate at a time.
+    Replicates are drawn, scored and clustered in chunks, all replicates
+    of a chunk at once, and a given seed gives the same draws and heights
+    as scoring and clustering one replicate at a time.
     """
     if n_perm < 1:
         raise ValueError("need at least one permutation")
@@ -444,7 +503,10 @@ def run_permtest(
         raise InsufficientDataError("clustering needs at least 2 languages")
     engine = _Engine(metric, wl, alphabet)
     languages = sorted(wl.languages)
-    observed = _agglomerate(_pair_matrix(engine, languages, engine.observed)[0], languages)
+    pairs, observed_heights = _cluster_stack(
+        _pair_matrix(engine, languages, engine.observed)
+    )
+    observed = _named_merges(pairs[0], observed_heights[0], languages)
     rng = np.random.default_rng(seed)
     heights = []
     for count in _chunk_sizes(n_perm):
@@ -452,9 +514,8 @@ def run_permtest(
         bases = _pair_matrix(
             engine, languages, engine.permuted_slots(languages, rng, count)
         )
-        for base in bases:
-            heights.append([h for _, _, h in _agglomerate(base, languages)])
-    heights = np.array(heights)
+        heights.append(_cluster_stack(bases)[1])
+    heights = np.concatenate(heights)
     merges: list[Merge] = []
     for k, (left, right, distance) in enumerate(observed):
         result = _summary(heights[:, k], distance)

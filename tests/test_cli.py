@@ -133,6 +133,15 @@ class TestPermtestCommand:
         assert main(argv) == EXIT_OK
         assert pairwise.read_bytes() == first
 
+    def test_unwritable_pairwise_path_leaves_no_report(
+            self, tmp_path, wordlist_path, capsys):
+        out = tmp_path / "p.json"
+        rc = main(["permtest", "--wordlist", wordlist_path, "--n-perm", "5",
+                   "--out", str(out), "--pairwise", str(tmp_path / "missing" / "pairs.tsv")])
+        assert rc == EXIT_INPUT
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_metric_exits_1_with_usage(self, tmp_path, wordlist_path, capsys):
         rc = main(["permtest", "--wordlist", wordlist_path,
                    "--metric", "levenshtein", "--out", str(tmp_path / "p.json")])

@@ -29,10 +29,11 @@ from relate.permtest import (
     RELATED,
     TURCHIN,
     WordMetric,
-    _agglomerate,
     _CHUNK,
+    _cluster_stack,
     _Engine,
     load_external_table,
+    _named_merges,
     _significance,
     pairwise_significance,
     run_permtest,
@@ -428,6 +429,18 @@ class TestExternalMetric:
         with pytest.raises(ExternalLookupError):
             language_distance(WordMetric.external(table), wl, "A", "B")
 
+    def test_conflicting_distances_for_one_pair_are_rejected(self):
+        for repeat in (("A", "ka", "B", "ki", 0.9), ("B", "ki", "A", "ka", 0.9)):
+            with pytest.raises(ParseError, match="line 3"):
+                load_external_table(self.table_text([("A", "ka", "B", "ki", 0.2), repeat]))
+
+    def test_exact_repeat_of_a_pair_is_accepted(self):
+        table = load_external_table(self.table_text([
+            ("A", "ka", "B", "ki", 0.2), ("B", "ki", "A", "ka", 0.2),
+            ("A", "ka", "B", "ki", "0.20"),
+        ]))
+        assert table[("A", "ka", "B", "ki")] == table[("B", "ki", "A", "ka")] == 0.2
+
     def test_table_schema_errors(self):
         with pytest.raises(EmptyInputError):
             load_external_table("  \n")
@@ -623,16 +636,27 @@ class TestChunkedReplicatesMatchOneAtATime:
             slots, tables, _CHUNK + 5, 2, complement)
 
     @pytest.mark.parametrize("seed", range(40))
-    def test_agglomeration_of_random_matrices(self, seed):
+    def test_lockstep_clustering_of_random_stacks(self, seed):
+        # Every replicate of a stack is clustered as if on its own, whatever
+        # the other replicates merge; odd seeds draw values k / 7, so exact
+        # ties are common.
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 10))
+        n = int(rng.integers(2, 31))
+        replicates = int(rng.integers(2, 7))
         if seed % 2:
-            values = rng.integers(0, 4, size=(n, n)) / 7  # many exact ties
+            values = rng.integers(0, 8, size=(replicates, n, n)) / 7
         else:
-            values = rng.random((n, n))
-        base = np.triu(values, 1) + np.triu(values, 1).T
-        languages = [f"L{k}" for k in range(n)]
-        assert _agglomerate(base, languages) == reference_agglomerate(base, languages)
+            values = rng.random((replicates, n, n))
+        upper = np.triu(values, 1)
+        bases = upper + upper.transpose(0, 2, 1)
+        # Zero-padded, so the names sort like their indices.
+        languages = [f"L{k:02d}" for k in range(n)]
+        pairs, heights = _cluster_stack(bases)
+        assert pairs.shape == (replicates, n - 1, 2)
+        assert heights.shape == (replicates, n - 1)
+        for r in range(replicates):
+            assert _named_merges(pairs[r], heights[r], languages) == reference_agglomerate(
+                bases[r], languages)
 
 
 class TestMergeHeights:

@@ -31,7 +31,7 @@ from .permtest import (
 )
 from .phylik import parse_newick, write_newick
 from .bootsim import SimConfig, simulate_matrix
-from .soundclass import default_alphabet, load_alphabet
+from .soundclass import load_alphabet
 from .submodel import SubstitutionModel
 from .treecmp import gqd as quartet_distance
 from .treecmp import parse_gold_tree
@@ -88,26 +88,23 @@ def _write_json(path: str, payload: dict):
         fh.write("\n")
 
 
-def _load_alphabet(args):
+def _load_wordlist(args):
+    inputs = [args.wordlist]
+    alphabet = None
     if args.mapping:
         with open(args.mapping, "rb") as fh:
-            return load_alphabet(fh), [args.mapping]
-    return default_alphabet(), []
-
-
-def _load_wordlist(args):
-    alphabet, extra_inputs = _load_alphabet(args)
+            alphabet = load_alphabet(fh)
+        inputs.append(args.mapping)
     with open(args.wordlist, "rb") as fh:
-        wl = parse_wordlist(fh)
+        wl = parse_wordlist(fh, alphabet)
     policy = FilterPolicy(
         drop_loans=not args.keep_loans,
         drop_flags=frozenset() if args.keep_flags else FilterPolicy().drop_flags,
         min_classes=args.min_classes,
-        alphabet=alphabet,
     )
     wl = filter_forms(wl, policy)
     wl = select_core_form(wl, rng_seed=args.seed)
-    return wl, alphabet, [args.wordlist] + extra_inputs
+    return wl, inputs
 
 
 def _load_matrix_file(path: str) -> CharacterMatrix:
@@ -151,8 +148,8 @@ def _add_wordlist_options(parser: argparse.ArgumentParser, required: bool = True
 
 
 def cmd_lrt(args) -> int:
-    wl, alphabet, inputs = _load_wordlist(args)
-    matrix = build_character_matrix(wl, alphabet)
+    wl, inputs = _load_wordlist(args)
+    matrix = build_character_matrix(wl)
     config = LrtConfig(
         p_inv_null=args.p0,
         p_inv_alt=args.pa,
@@ -161,7 +158,7 @@ def cmd_lrt(args) -> int:
         seed=args.seed,
         random_restarts=args.restarts,
     )
-    report = run_lrt(matrix, config, alphabet=alphabet.classes)
+    report = run_lrt(matrix, config, alphabet=wl.alphabet.classes)
     payload = {
         "schema": "relate/lrt/1",
         "manifest": _manifest(args, inputs),
@@ -176,7 +173,7 @@ def cmd_lrt(args) -> int:
 
 
 def cmd_permtest(args) -> int:
-    wl, alphabet, inputs = _load_wordlist(args)
+    wl, inputs = _load_wordlist(args)
     if args.metric == "external":
         if not args.external_table:
             raise SchemaError("--metric external requires --external-table")
@@ -188,13 +185,11 @@ def cmd_permtest(args) -> int:
     else:
         metric = WordMetric.turchin()
 
-    tree = run_permtest(metric, wl, n_perm=args.n_perm, seed=args.seed, alphabet=alphabet)
+    tree = run_permtest(metric, wl, n_perm=args.n_perm, seed=args.seed)
     # Both results are computed, and the table written, before the report,
     # so a failure on either leaves no report behind.
     if args.pairwise:
-        rows = pairwise_significance(
-            metric, wl, n_perm=args.n_perm, seed=args.seed, alphabet=alphabet
-        )
+        rows = pairwise_significance(metric, wl, n_perm=args.n_perm, seed=args.seed)
         slim = json.dumps(_manifest(args, inputs, with_timestamp=False), sort_keys=True)
         with open(args.pairwise, "w", encoding="utf-8") as fh:
             fh.write(f"# manifest: {slim}\n")
@@ -219,9 +214,9 @@ def cmd_mltree(args) -> int:
     if bool(args.wordlist) == bool(args.matrix):
         raise SchemaError("supply exactly one of --wordlist or --matrix")
     if args.wordlist:
-        wl, alphabet, inputs = _load_wordlist(args)
-        matrix = build_character_matrix(wl, alphabet)
-        states = alphabet.classes
+        wl, inputs = _load_wordlist(args)
+        matrix = build_character_matrix(wl)
+        states = wl.alphabet.classes
     else:
         matrix = _load_matrix_file(args.matrix)
         inputs = [args.matrix]

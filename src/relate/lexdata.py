@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import IO
 
 from . import soundclass
@@ -74,12 +74,15 @@ class Wordlist:
     """An ordered collection of entries over fixed language and concept lists.
 
     ``languages`` and ``concepts`` keep their first-appearance order from the
-    source; both act as the canonical axis order downstream.
+    source; both act as the canonical axis order downstream. ``alphabet``
+    encodes the words for every stage (the packaged table by default).
     """
 
     languages: tuple[str, ...]
     concepts: tuple[str, ...]
     entries: tuple[LexEntry, ...]
+    alphabet: soundclass.ClassAlphabet = field(default_factory=soundclass.default_alphabet)
+    _classes: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lang_set, concept_set = set(self.languages), set(self.concepts)
@@ -92,6 +95,21 @@ class Wordlist:
                 raise SchemaError(f"entry language {entry.language!r} not listed")
             if entry.concept not in concept_set:
                 raise SchemaError(f"entry concept {entry.concept!r} not listed")
+        object.__setattr__(self, "_classes", {})
+
+    def classes(self, entry: LexEntry) -> soundclass.ClassSequence:
+        """``entry.encode(self.alphabet)``, computed once for this wordlist and
+        those :func:`filter_forms` and :func:`select_core_form` derive from it."""
+        seq = self._classes.get(entry)
+        if seq is None:
+            seq = self._classes[entry] = entry.encode(self.alphabet)
+        return seq
+
+    def _derive(self, entries: list[LexEntry]) -> "Wordlist":
+        """``entries`` over the same axes, alphabet and class memo."""
+        derived = replace(self, entries=tuple(entries))
+        object.__setattr__(derived, "_classes", self._classes)
+        return derived
 
     def entries_by_slot(self) -> dict[tuple[str, str], list[LexEntry]]:
         slots: dict[tuple[str, str], list[LexEntry]] = {}
@@ -114,8 +132,9 @@ class Wordlist:
         return slots
 
 
-def parse_wordlist(source: IO | bytes | str) -> Wordlist:
-    """Parse a TSV wordlist.
+def parse_wordlist(source: IO | bytes | str, alphabet=None) -> Wordlist:
+    """Parse a TSV wordlist whose words ``alphabet`` encodes (the packaged
+    table when None).
 
     LANGUAGE, CONCEPT and FORM columns are required; SEGMENTS (space
     separated), LOAN (0/1), TAG (comma separated flag names) and CORE_RANK
@@ -226,6 +245,7 @@ def parse_wordlist(source: IO | bytes | str) -> Wordlist:
         languages=tuple(languages),
         concepts=tuple(concepts),
         entries=tuple(entries),
+        alphabet=alphabet or soundclass.default_alphabet(),
     )
 
 
@@ -234,16 +254,18 @@ class FilterPolicy:
     """Which entries to drop before alignment.
 
     ``min_classes`` is the minimum length of the consonant-class encoding;
-    forms whose encoding is shorter carry too little comparable material.
-    Entries whose encoding fails (unknown segments) are kept so that the
-    error surfaces later with full context. ``alphabet`` defaults to the
-    packaged table.
+    forms whose encoding is shorter carry too little comparable material;
+    it may not be negative. Entries whose encoding fails (unknown segments)
+    are kept so that the error surfaces later with full context.
     """
 
     drop_loans: bool = True
     drop_flags: frozenset[str] = frozenset({"ONOMATOPOEIA", "NURSERY", "SHORT"})
     min_classes: int = 2
-    alphabet: soundclass.ClassAlphabet | None = None
+
+    def __post_init__(self):
+        if self.min_classes < 0:
+            raise SchemaError(f"min_classes must be non-negative, got {self.min_classes}")
 
 
 def filter_forms(wl: Wordlist, policy: FilterPolicy = FilterPolicy()) -> Wordlist:
@@ -251,11 +273,8 @@ def filter_forms(wl: Wordlist, policy: FilterPolicy = FilterPolicy()) -> Wordlis
 
     Language and concept lists are preserved even when every entry for one
     of them is dropped; downstream stages decide whether empty columns are
-    tolerable.
+    tolerable. The result keeps the alphabet and class memo of ``wl``.
     """
-    alphabet = policy.alphabet
-    if alphabet is None and policy.min_classes > 0:
-        alphabet = soundclass.default_alphabet()
     kept = []
     for entry in wl.entries:
         if policy.drop_loans and "LOAN" in entry.flags:
@@ -264,13 +283,13 @@ def filter_forms(wl: Wordlist, policy: FilterPolicy = FilterPolicy()) -> Wordlis
             continue
         if policy.min_classes > 0:
             try:
-                encoded = entry.encode(alphabet)
+                encoded = wl.classes(entry)
             except UnknownSegmentError:
                 encoded = None
             if encoded is not None and len(encoded) < policy.min_classes:
                 continue
         kept.append(entry)
-    return Wordlist(languages=wl.languages, concepts=wl.concepts, entries=tuple(kept))
+    return wl._derive(kept)
 
 
 def select_core_form(wl: Wordlist, rng_seed: int = 42) -> Wordlist:
@@ -280,7 +299,8 @@ def select_core_form(wl: Wordlist, rng_seed: int = 42) -> Wordlist:
     Remaining ties are broken by a uniform draw from a generator seeded with
     ``rng_seed``, so the choice is reproducible. Slots that already hold a
     single entry consume no randomness, which makes the operation
-    idempotent for a fixed seed.
+    idempotent for a fixed seed. The result keeps the alphabet and class
+    memo of ``wl``.
     """
     rng = random.Random(rng_seed)
     slots = wl.entries_by_slot()
@@ -300,4 +320,4 @@ def select_core_form(wl: Wordlist, rng_seed: int = 42) -> Wordlist:
             pool = [e for e in candidates if e.core_rank == best_rank]
             pool.sort(key=lambda e: (e.form, e.segments or ()))
             chosen.append(pool[0] if len(pool) == 1 else rng.choice(pool))
-    return Wordlist(languages=wl.languages, concepts=wl.concepts, entries=tuple(chosen))
+    return wl._derive(chosen)

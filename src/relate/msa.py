@@ -21,7 +21,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import soundclass
 from .errors import (
     EmptyConceptError,
     InsufficientDataError,
@@ -29,7 +28,7 @@ from .errors import (
     SchemaError,
 )
 from .lexdata import Wordlist
-from .soundclass import GAP, ClassAlphabet, ClassSequence
+from .soundclass import GAP, ClassSequence
 
 logger = logging.getLogger(__name__)
 
@@ -512,18 +511,14 @@ class CharacterMatrix:
 
 
 def build_character_matrix(
-    wl: Wordlist,
-    alphabet: ClassAlphabet | None = None,
-    scoring: AlignScoring = AlignScoring(),
+    wl: Wordlist, scoring: AlignScoring = AlignScoring()
 ) -> CharacterMatrix:
-    """Encode, align and concatenate a preprocessed wordlist.
+    """Align and concatenate the class sequences of a preprocessed wordlist.
 
     Every (language, concept) slot must hold at most one entry. Concepts
     with no encodable word are skipped with a warning; having fewer than two
     languages with any data raises :class:`InsufficientDataError`.
     """
-    if alphabet is None:
-        alphabet = soundclass.default_alphabet()
     slots = wl.entry_by_slot()
     if len(wl.languages) < 2:
         raise InsufficientDataError("need at least 2 languages")
@@ -538,7 +533,7 @@ def build_character_matrix(
         seqs = []
         for language in wl.languages:
             entry = slots.get((language, concept))
-            seqs.append(() if entry is None else entry.encode(alphabet))
+            seqs.append(() if entry is None else wl.classes(entry))
         if not any(seqs):
             logger.warning("concept %r has no encodable word; skipped", concept)
             continue

@@ -29,7 +29,6 @@ from typing import IO, Mapping, NamedTuple
 
 import numpy as np
 
-from . import soundclass
 from .errors import (
     DistanceUndefinedError,
     EmptyInputError,
@@ -40,7 +39,6 @@ from .errors import (
     read_text,
 )
 from .lexdata import Wordlist
-from .soundclass import ClassAlphabet
 
 logger = logging.getLogger(__name__)
 
@@ -154,9 +152,7 @@ class _Engine:
     results for any chunking.
     """
 
-    def __init__(self, metric: WordMetric, wl: Wordlist, alphabet: ClassAlphabet | None):
-        if alphabet is None and metric.name != EXTERNAL:
-            alphabet = soundclass.default_alphabet()
+    def __init__(self, metric: WordMetric, wl: Wordlist):
         self.metric = metric
         self.languages = wl.languages
         self.concepts = wl.concepts
@@ -167,9 +163,7 @@ class _Engine:
         self.forms: dict[str, list[str]] = {}
         self.first: dict[str, np.ndarray] = {}
         self.second: dict[str, np.ndarray] = {}
-        class_index = (
-            {c: i for i, c in enumerate(alphabet.classes)} if alphabet else {}
-        )
+        class_index = {c: i for i, c in enumerate(wl.alphabet.classes)}
         for language in wl.languages:
             pointers = np.full(len(wl.concepts), _NO_WORD, dtype=np.int64)
             forms: list[str] = []
@@ -182,7 +176,7 @@ class _Engine:
                 pointers[c] = len(forms)
                 forms.append(entry.form)
                 if metric.name != EXTERNAL:
-                    seq = entry.encode(alphabet)
+                    seq = wl.classes(entry)
                     firsts.append(class_index[seq[0]] if seq else _EMPTY)
                     seconds.append(
                         class_index[seq[1]] if len(seq) > 1 else _NO_SECOND
@@ -479,7 +473,6 @@ def run_permtest(
     wl: Wordlist,
     n_perm: int = 1000,
     seed: int = 42,
-    alphabet: ClassAlphabet | None = None,
 ) -> MergeTree:
     """Cluster languages bottom-up, testing every merge against permutations.
 
@@ -501,7 +494,7 @@ def run_permtest(
         raise ValueError("need at least one permutation")
     if len(wl.languages) < 2:
         raise InsufficientDataError("clustering needs at least 2 languages")
-    engine = _Engine(metric, wl, alphabet)
+    engine = _Engine(metric, wl)
     languages = sorted(wl.languages)
     pairs, observed_heights = _cluster_stack(
         _pair_matrix(engine, languages, engine.observed)
@@ -544,7 +537,6 @@ def pairwise_significance(
     wl: Wordlist,
     n_perm: int = 1000,
     seed: int = 42,
-    alphabet: ClassAlphabet | None = None,
 ) -> list[dict]:
     """Permutation statistics for every language pair, as TSV-ready rows.
 
@@ -555,7 +547,7 @@ def pairwise_significance(
         raise ValueError("need at least one permutation")
     if len(wl.languages) < 2:
         raise InsufficientDataError("pairwise statistics need at least 2 languages")
-    engine = _Engine(metric, wl, alphabet)
+    engine = _Engine(metric, wl)
     rows = []
     pair_no = 0
     for i, lang_a in enumerate(wl.languages):

@@ -10,6 +10,7 @@ the alignment and distance code consumes.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import unicodedata
 from dataclasses import dataclass
@@ -165,13 +166,8 @@ def load_alphabet(source: IO | bytes | str) -> ClassAlphabet:
     return ClassAlphabet(classes=ordered, segment_map=mapping)
 
 
-_DEFAULT: ClassAlphabet | None = None
-
-
+@functools.cache
 def default_alphabet() -> ClassAlphabet:
     """The packaged ten-class consonant table (loaded once, then cached)."""
-    global _DEFAULT
-    if _DEFAULT is None:
-        data = resources.files("relate.data").joinpath("dolgo_classes.tsv")
-        _DEFAULT = load_alphabet(data.read_text(encoding="utf-8"))
-    return _DEFAULT
+    data = resources.files("relate.data").joinpath("dolgo_classes.tsv")
+    return load_alphabet(data.read_text(encoding="utf-8"))

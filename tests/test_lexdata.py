@@ -2,7 +2,8 @@
 
 import pytest
 
-from helpers import wordlist_text
+from helpers import related_wordlist_rows, wordlist_text
+from relate import soundclass
 from relate.errors import EmptyInputError, ParseError, SchemaError, UnknownSegmentError
 from relate.lexdata import (
     FilterPolicy,
@@ -12,7 +13,9 @@ from relate.lexdata import (
     parse_wordlist,
     select_core_form,
 )
-from relate.soundclass import default_alphabet, encode_form, encode_segments
+from relate.msa import build_character_matrix
+from relate.permtest import WordMetric, pairwise_significance, run_permtest
+from relate.soundclass import default_alphabet, encode_form, encode_segments, load_alphabet
 
 
 class TestParseWordlist:
@@ -140,7 +143,52 @@ class TestEncode:
         assert "kana" in str(err.value)
 
 
+class TestWordlistClasses:
+    def test_parse_keeps_the_given_alphabet_and_derived_lists_hand_it_on(self):
+        alphabet = load_alphabet("SEGMENT\tCLASS\nk\tK\nn\tK\na\tV\n")
+        wl = parse_wordlist(wordlist_text([("Latin", "horn", "kana")]), alphabet)
+        assert wl.alphabet is alphabet
+        assert wl.classes(wl.entries[0]) == ("K", "K")
+        assert select_core_form(filter_forms(wl)).alphabet is alphabet
+        assert parse_wordlist(wordlist_text([("Latin", "horn", "kana")])).alphabet \
+            is default_alphabet()
+
+    def test_unknown_segment_raises_as_encode_does(self):
+        wl = make_wordlist(entry(form="kana", segments=("k", "#")))
+        with pytest.raises(UnknownSegmentError) as err:
+            wl.classes(wl.entries[0])
+        assert "kana" in str(err.value)
+
+    def test_each_checked_word_is_encoded_once_through_both_tests(self, monkeypatch):
+        rows = [row + ("0", "") for row in related_wordlist_rows(4, 15, seed=5)]
+        rows += [("L00", "c000", "tara", "1", ""),      # loan: never encoded
+                 ("L01", "c001", "mama", "0", "NURSERY"),  # flagged: never encoded
+                 ("L02", "c002", "ka", "0", ""),         # too short: encoded, dropped
+                 ("L03", "c003", "sumi", "0", "")]       # a synonym for the draw
+        text = wordlist_text(rows, header=("LANGUAGE", "CONCEPT", "FORM", "LOAN", "TAG"))
+        calls = []
+        original = soundclass.encode_segments
+        monkeypatch.setattr(
+            soundclass, "encode_segments", lambda *a, **k: calls.append(1) or original(*a, **k)
+        )
+        wl = parse_wordlist(text)
+        policy = FilterPolicy()
+        checked = sum(
+            1 for e in wl.entries if "LOAN" not in e.flags and not e.flags & policy.drop_flags
+        )
+        chosen = select_core_form(filter_forms(wl, policy), rng_seed=3)
+        assert len(chosen.entries) < checked
+        build_character_matrix(chosen)
+        run_permtest(WordMetric.p1_dolgo(), chosen, n_perm=5)
+        pairwise_significance(WordMetric.turchin(), chosen, n_perm=5)
+        assert len(calls) == checked == len(wl.entries) - 2
+
+
 class TestFilterForms:
+    def test_negative_min_classes_rejected(self):
+        with pytest.raises(SchemaError, match="min_classes"):
+            FilterPolicy(min_classes=-1)
+
     def test_loan_dropped_by_default(self):
         wl = make_wordlist(entry(form="cornu"),
                            entry(form="karn", flags={"LOAN"}))

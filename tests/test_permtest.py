@@ -44,7 +44,7 @@ from relate.soundclass import default_alphabet, encode_form
 def pair_significance(metric, wl, lang_a, lang_b, n_perm, seed):
     """Statistics of one language pair against ``n_perm`` permutations, as
     ``pairwise_significance`` computes them for each pair."""
-    return _significance(_Engine(metric, wl, None), lang_a, lang_b, n_perm, seed)[1]
+    return _significance(_Engine(metric, wl), lang_a, lang_b, n_perm, seed)[1]
 
 
 def pair_distances(metric, wl):
@@ -590,7 +590,7 @@ class TestChunkedReplicatesMatchOneAtATime:
         slots, tables, complement = oracle_inputs(metric, wl)
         langs = sorted(wl.languages)
         got = _significance(
-            _Engine(metric, wl, None), langs[3], langs[0], n_perm=_CHUNK + 1, seed=8)
+            _Engine(metric, wl), langs[3], langs[0], n_perm=_CHUNK + 1, seed=8)
         observed, stats = reference_significance(
             slots, tables, langs[3], langs[0], _CHUNK + 1, 8, complement)
         assert (got[0], tuple(got[1])) == (observed, stats)
@@ -604,7 +604,7 @@ class TestChunkedReplicatesMatchOneAtATime:
         wl = gapped_wordlist()
         metric = three_metrics(wl)[metric_no]
         slots, tables, complement = oracle_inputs(metric, wl)
-        engine = _Engine(metric, wl, None)
+        engine = _Engine(metric, wl)
         stacked = engine.permuted_slots(wl.languages, np.random.default_rng(1), _CHUNK)
         for i, a in enumerate(wl.languages):
             for b in wl.languages[i + 1:]:

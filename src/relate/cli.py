@@ -122,14 +122,21 @@ def _load_matrix_file(path: str) -> CharacterMatrix:
 def _load_fit_file(path: str) -> MlFit:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    payload = payload.get("fit", payload)
+    if isinstance(payload, dict):
+        payload = payload.get("fit", payload)
+    if not isinstance(payload, dict):
+        raise SchemaError("fit file must hold a JSON object")
     try:
+        if not isinstance(payload["tree"], str):
+            raise SchemaError("fit tree must be a Newick string")
         tree = parse_newick(payload["tree"])
         model = SubstitutionModel.from_dict(payload["model"])
         ll = float(payload["log_likelihood"])
+        trace = tuple((int(r), float(v)) for r, v in payload.get("search_trace", []))
     except KeyError as exc:
         raise SchemaError(f"fit file lacks {exc}") from exc
-    trace = tuple((int(r), float(v)) for r, v in payload.get("search_trace", []))
+    except TypeError as exc:
+        raise SchemaError(f"bad fit file: {exc}") from exc
     return MlFit(tree=tree, model=model, log_likelihood=ll, search_trace=trace)
 
 
@@ -173,10 +180,12 @@ def cmd_lrt(args) -> int:
 
 
 def cmd_permtest(args) -> int:
+    if args.metric == "external" and not args.external_table:
+        raise SchemaError("--metric external requires --external-table")
+    if args.metric != "external" and args.external_table:
+        raise SchemaError(f"--metric {args.metric} does not take --external-table")
     wl, inputs = _load_wordlist(args)
     if args.metric == "external":
-        if not args.external_table:
-            raise SchemaError("--metric external requires --external-table")
         with open(args.external_table, "rb") as fh:
             metric = WordMetric.external(load_external_table(fh))
         inputs = inputs + [args.external_table]

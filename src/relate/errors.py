@@ -4,7 +4,8 @@ Everything raised on bad input derives from :class:`RelateError` so callers
 (and the command line driver) can distinguish data problems (exit code 1)
 from numerical failures (:class:`NumericalUnderflowError`, exit code 2).
 :func:`read_text` decodes text inputs, so that invalid UTF-8 is a
-:class:`ParseError` too.
+:class:`ParseError` too, and :func:`read_header` reads the column names of
+a TSV input.
 """
 
 from __future__ import annotations
@@ -46,6 +47,17 @@ def read_text(source: IO | bytes | str, what: str) -> str:
 
 class SchemaError(RelateError):
     """Required columns or fields are missing, or a value set is invalid."""
+
+
+def read_header(cells: list[str], what: str) -> list[str]:
+    """The stripped column names of the header row of TSV input ``what``.
+    A name given twice raises :class:`SchemaError` naming it, so that no
+    reader silently takes the first of two columns."""
+    header = [cell.strip() for cell in cells]
+    for k, name in enumerate(header):
+        if name and name in header[:k]:
+            raise SchemaError(f"{what} header repeats column {name!r}")
+    return header
 
 
 class EmptyInputError(RelateError):

@@ -19,6 +19,7 @@ from .errors import (
     ParseError,
     SchemaError,
     UnknownSegmentError,
+    read_header,
     read_text,
 )
 
@@ -151,7 +152,7 @@ def parse_wordlist(source: IO | bytes | str, alphabet=None) -> Wordlist:
         raise EmptyInputError("wordlist is empty")
 
     rows = list(csv.reader(lines, delimiter="\t"))
-    header = [h.strip() for h in rows[0]]
+    header = read_header(rows[0], "wordlist")
     required = [LANGUAGE_COL, CONCEPT_COL, FORM_COL]
     missing = [col for col in required if col not in header]
     if missing:

@@ -501,13 +501,19 @@ class CharacterMatrix:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CharacterMatrix":
+        """The matrix of a :meth:`to_dict` payload; a payload of another
+        shape or type raises :class:`SchemaError`."""
         try:
-            taxa = payload["taxa"]
-            rows = [list(r) for r in payload["rows"]]
-            bounds = [tuple(b) for b in payload.get("concept_bounds", [])]
-        except (KeyError, TypeError) as exc:
+            taxa, rows = payload["taxa"], payload["rows"]
+            bounds = [
+                (str(c), int(lo), int(hi)) for c, lo, hi in payload.get("concept_bounds", [])
+            ]
+        except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad matrix payload: {exc}") from exc
-        return cls(taxa=taxa, cells=rows, concept_bounds=bounds)
+        for name, values in (("taxa", taxa), ("rows", rows)):
+            if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+                raise SchemaError(f"matrix {name} must be a list of strings")
+        return cls(taxa=taxa, cells=[list(r) for r in rows], concept_bounds=bounds)
 
 
 def build_character_matrix(

@@ -17,6 +17,10 @@ is therefore clustered from scratch and merges of equal rank are compared.
 The permutations of a chunk are clustered together, one merge step of
 every replicate at a time, with the same merges and heights as clustering
 each one alone.
+
+A row of the pairwise table is the root (and only) merge of that pair's
+two-language merge tree, drawn from the pair's own seed stream: with two
+languages the equal-rank null is the fixed-pair null.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .errors import (
     InsufficientDataError,
     ParseError,
     SchemaError,
+    read_header,
     read_text,
 )
 from .lexdata import Wordlist
@@ -93,7 +98,7 @@ def load_external_table(source: IO | bytes | str) -> dict[tuple[str, str, str, s
     if not text.strip():
         raise EmptyInputError("distance table is empty")
     reader = csv.reader(io.StringIO(text), delimiter="\t")
-    header = [h.strip() for h in next(reader)]
+    header = read_header(next(reader), "distance table")
     required = ["LANG_A", "WORD_A", "LANG_B", "WORD_B", "DIST"]
     if any(col not in header for col in required):
         raise SchemaError(f"distance table needs columns {required}, got {header}")
@@ -294,29 +299,6 @@ def _summary(draws: np.ndarray, observed: float) -> PermutationResult:
     )
 
 
-def _significance(
-    engine: _Engine, lang_a: str, lang_b: str, n_perm: int, seed: int
-) -> tuple[float, PermutationResult]:
-    """Observed distance of one language pair and its statistics against
-    ``n_perm`` shuffles of the two languages."""
-    observed = float(
-        engine.language_distance(
-            lang_a, lang_b, engine.observed[lang_a], engine.observed[lang_b]
-        )[0]
-    )
-    rng = np.random.default_rng(seed)
-    draws = []
-    for count in _chunk_sizes(n_perm):
-        slots = engine.permuted_slots((lang_a, lang_b), rng, count)
-        draws.append(
-            engine.language_distance(lang_a, lang_b, slots[lang_a], slots[lang_b])
-        )
-    result = _summary(np.concatenate(draws), observed)
-    if result.degenerate:
-        logger.warning("all permuted distances are zero for %r vs %r", lang_a, lang_b)
-    return observed, result
-
-
 @dataclass(frozen=True)
 class Merge:
     """One agglomeration step with its statistics."""
@@ -403,11 +385,13 @@ def _cluster_stack(bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     replicates, n, _ = bases.shape
     each = np.arange(replicates)
     flat_bases = bases.reshape(-1)
-    candidates = np.where(np.triu(np.ones((n, n), dtype=bool), 1), bases, np.inf)
+    ids = np.arange(n)
+    candidates = np.where(ids[:, np.newaxis] < ids, bases, np.inf)
     flat_candidates = candidates.reshape(replicates, n * n)
-    # Each language's cluster, named by its smallest language index, and
-    # the size of each cluster under that name (0 once merged away).
-    label = np.tile(np.arange(n), (replicates, 1))
+    # Each language's cluster, named by its smallest language index (one
+    # row for all replicates until the first merge), and the size of each
+    # cluster under that name (0 once merged away).
+    label = ids
     size = np.ones((replicates, n), dtype=np.int64)
     pairs = np.empty((replicates, n - 1, 2), dtype=np.int64)
     heights = np.empty((replicates, n - 1))
@@ -426,7 +410,7 @@ def _cluster_stack(bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
         # Languages grouped by cluster, each cluster's in index order,
         # and where each cluster starts in that order.
-        order = np.argsort(label * n + np.arange(n), axis=1)
+        order = np.argsort(label * n + ids, axis=1)
         start = np.cumsum(size, axis=1) - size
         # Every other cluster is older than the new one.
         others = size > 0
@@ -468,6 +452,46 @@ def _named_merges(
     return stages
 
 
+def _tested_merges(
+    engine: _Engine, languages: list[str], n_perm: int, seed: int
+) -> list[tuple[tuple[str, ...], tuple[str, ...], float, PermutationResult]]:
+    """The merges of ``languages`` (sorted) as (left, right, height,
+    statistics), each tested against the merge of equal rank in ``n_perm``
+    replicates drawn from ``seed``.
+
+    Replicates are drawn, scored and clustered in chunks, all replicates
+    of a chunk at once, and a given seed gives the same draws and heights
+    as scoring and clustering one replicate at a time.
+    """
+    if n_perm < 1:
+        raise ValueError("need at least one permutation")
+    pairs, observed_heights = _cluster_stack(
+        _pair_matrix(engine, languages, engine.observed)
+    )
+    observed = _named_merges(pairs[0], observed_heights[0], languages)
+    rng = np.random.default_rng(seed)
+    heights = []
+    for count in _chunk_sizes(n_perm):
+        # No chunk's slots are held while the next chunk is drawn.
+        bases = _pair_matrix(
+            engine, languages, engine.permuted_slots(languages, rng, count)
+        )
+        heights.append(_cluster_stack(bases)[1])
+    heights = np.concatenate(heights)
+    merges = []
+    for k, (left, right, distance) in enumerate(observed):
+        result = _summary(heights[:, k], distance)
+        if result.degenerate:
+            logger.warning(
+                "all permuted merge heights are zero at rank %d (%r vs %r)",
+                k,
+                left,
+                right,
+            )
+        merges.append((left, right, distance, result))
+    return merges
+
+
 def run_permtest(
     metric: WordMetric,
     wl: Wordlist,
@@ -485,51 +509,17 @@ def run_permtest(
     that held the observed pair fixed would ignore that agglomeration
     deliberately picks similar clusters and would push root p-values
     toward 1 even on random data.
-
-    Replicates are drawn, scored and clustered in chunks, all replicates
-    of a chunk at once, and a given seed gives the same draws and heights
-    as scoring and clustering one replicate at a time.
     """
-    if n_perm < 1:
-        raise ValueError("need at least one permutation")
     if len(wl.languages) < 2:
         raise InsufficientDataError("clustering needs at least 2 languages")
-    engine = _Engine(metric, wl)
-    languages = sorted(wl.languages)
-    pairs, observed_heights = _cluster_stack(
-        _pair_matrix(engine, languages, engine.observed)
+    merges = _tested_merges(_Engine(metric, wl), sorted(wl.languages), n_perm, seed)
+    return MergeTree(
+        languages=wl.languages,
+        merges=tuple(
+            Merge(left, right, distance, result.s_hat, result.p_value, result.degenerate)
+            for left, right, distance, result in merges
+        ),
     )
-    observed = _named_merges(pairs[0], observed_heights[0], languages)
-    rng = np.random.default_rng(seed)
-    heights = []
-    for count in _chunk_sizes(n_perm):
-        # No chunk's slots are held while the next chunk is drawn.
-        bases = _pair_matrix(
-            engine, languages, engine.permuted_slots(languages, rng, count)
-        )
-        heights.append(_cluster_stack(bases)[1])
-    heights = np.concatenate(heights)
-    merges: list[Merge] = []
-    for k, (left, right, distance) in enumerate(observed):
-        result = _summary(heights[:, k], distance)
-        if result.degenerate:
-            logger.warning(
-                "all permuted merge heights are zero at rank %d (%r vs %r)",
-                k,
-                left,
-                right,
-            )
-        merges.append(
-            Merge(
-                left=left,
-                right=right,
-                distance=float(distance),
-                s_hat=result.s_hat,
-                p_value=result.p_value,
-                degenerate=result.degenerate,
-            )
-        )
-    return MergeTree(languages=wl.languages, merges=tuple(merges))
 
 
 def pairwise_significance(
@@ -540,11 +530,12 @@ def pairwise_significance(
 ) -> list[dict]:
     """Permutation statistics for every language pair, as TSV-ready rows.
 
-    ``DIST`` is the mean word distance over the concepts both languages
-    attest; ``S_HAT`` and ``P`` compare it with shuffles of that pair alone.
+    A pair's row is the single merge of that pair's two-language merge
+    tree: ``DIST`` is the mean word distance over the concepts both
+    languages attest, and ``S_HAT`` and ``P`` compare it with shuffles of
+    that pair alone. The k-th pair draws from ``seed + k *
+    PAIR_SEED_STRIDE``.
     """
-    if n_perm < 1:
-        raise ValueError("need at least one permutation")
     if len(wl.languages) < 2:
         raise InsufficientDataError("pairwise statistics need at least 2 languages")
     engine = _Engine(metric, wl)
@@ -554,12 +545,14 @@ def pairwise_significance(
         for lang_b in wl.languages[i + 1 :]:
             pair_no += 1
             pair_seed = seed + pair_no * PAIR_SEED_STRIDE
-            observed, result = _significance(engine, lang_a, lang_b, n_perm, pair_seed)
+            [(_, _, distance, result)] = _tested_merges(
+                engine, sorted((lang_a, lang_b)), n_perm, pair_seed
+            )
             rows.append(
                 {
                     "LANG_A": lang_a,
                     "LANG_B": lang_b,
-                    "DIST": observed,
+                    "DIST": distance,
                     "S_HAT": result.s_hat,
                     "P": result.p_value,
                 }

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import IO, Iterable
 
-from .errors import EmptyInputError, SchemaError, UnknownSegmentError, read_text
+from .errors import EmptyInputError, SchemaError, UnknownSegmentError, read_header, read_text
 
 #: Marker for vowel segments; never appears in an encoded sequence.
 VOWEL = "V"
@@ -132,8 +132,7 @@ def load_alphabet(source: IO | bytes | str) -> ClassAlphabet:
     if not text.strip():
         raise EmptyInputError("segment table is empty")
     reader = csv.reader(io.StringIO(text), delimiter="\t")
-    header = next(reader)
-    header = [h.strip() for h in header]
+    header = read_header(next(reader), "segment table")
     try:
         seg_col = header.index("SEGMENT")
         cls_col = header.index("CLASS")

@@ -129,9 +129,14 @@ class SubstitutionModel:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SubstitutionModel":
+        """The model of a :meth:`to_dict` payload; a payload of another
+        shape or type raises :class:`SchemaError`."""
         try:
+            alphabet = payload["alphabet"]
+            if not isinstance(alphabet, list) or not all(isinstance(s, str) for s in alphabet):
+                raise SchemaError("model alphabet must be a list of strings")
             return cls(
-                alphabet=tuple(payload["alphabet"]),
+                alphabet=tuple(alphabet),
                 freqs=np.asarray(payload["freqs"], dtype=float),
                 mu=float(payload["mu"]),
                 p_inv=float(payload["p_inv"]),
@@ -143,6 +148,8 @@ class SubstitutionModel:
             )
         except KeyError as exc:
             raise SchemaError(f"model payload lacks {exc}") from exc
+        except TypeError as exc:
+            raise SchemaError(f"bad model payload: {exc}") from exc
 
 
 def build_model(

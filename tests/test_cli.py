@@ -10,8 +10,8 @@ import pytest
 
 from helpers import CONSONANTS, VOWELS, related_wordlist_rows, wordlist_text
 import relate.lrt
-from relate.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
-from relate.errors import NumericalUnderflowError
+from relate.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, build_parser, main
+from relate.errors import NumericalUnderflowError, SchemaError
 from relate.lexdata import filter_forms, parse_wordlist, select_core_form
 from relate.mlsearch import SearchConfig, ml_tree
 from relate.msa import CharacterMatrix, build_character_matrix
@@ -26,6 +26,17 @@ def wordlist_path(tmp_path):
     path = tmp_path / "words.tsv"
     path.write_text(wordlist_text(rows), encoding="utf-8")
     return str(path)
+
+
+#: The directory the tested package is imported from.
+SRC = str(Path(relate.__file__).resolve().parents[1])
+
+
+def package_env():
+    """The environment with ``SRC`` first on PYTHONPATH, for running the
+    tested package in a subprocess."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
 def read_json(path):
@@ -160,6 +171,21 @@ class TestPermtestCommand:
                    "--metric", "external", "--out", str(tmp_path / "p.json")])
         assert rc == EXIT_INPUT
         assert "external-table" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("metric", ["p1dolgo", "turchin"])
+    def test_named_metric_refuses_an_external_table(
+            self, tmp_path, wordlist_path, metric, capsys):
+        table = tmp_path / "table.tsv"
+        table.write_text("LANG_A\tWORD_A\tLANG_B\tWORD_B\tDIST\n", encoding="utf-8")
+        out = tmp_path / "p.json"
+        argv = ["permtest", "--wordlist", wordlist_path, "--metric", metric,
+                "--external-table", str(table), "--out", str(out)]
+        args = build_parser().parse_args(argv)
+        with pytest.raises(SchemaError, match="does not take --external-table"):
+            args.func(args)
+        assert main(argv) == EXIT_INPUT
+        assert "does not take --external-table" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_min_classes_exits_1(self, tmp_path, wordlist_path, capsys):
         out = tmp_path / "p.json"
@@ -345,6 +371,36 @@ class TestSimulateCommand:
         assert "error:" in capsys.readouterr().err
 
 
+#: JSON inputs of the wrong shape or type: the subcommand, the option
+#: that reads the file, and its content.
+MALFORMED_JSON = {
+    "fit-not-an-object": ("simulate", "--fit", [1]),
+    "fit-tree-not-a-string": (
+        "simulate", "--fit", {"fit": {"tree": 5, "model": {}, "log_likelihood": -1.0}}),
+    "matrix-taxa-not-a-list": (
+        "mltree", "--matrix", {"matrix": {"taxa": 5, "rows": ["KP", "KT"]}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_JSON))
+def test_malformed_json_input_exits_1_without_traceback(tmp_path, case):
+    command, option, payload = MALFORMED_JSON[case]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    template = tmp_path / "m.txt"
+    template.write_text("2 2\nA\tKP\nB\tKT\n", encoding="utf-8")
+    out = tmp_path / "out.json"
+    argv = [command, option, str(bad), "--out", str(out)]
+    if command == "simulate":
+        argv += ["--template", str(template)]
+    done = subprocess.run([sys.executable, "-m", "relate.cli", *argv],
+                          env=package_env(), capture_output=True, text=True)
+    assert done.returncode == EXIT_INPUT
+    assert done.stderr.startswith("error: ")
+    assert "Traceback" not in done.stderr
+    assert not out.exists()
+
+
 class TestGqdCommand:
     def test_identical_trees_print_zero(self, tmp_path, capsys):
         tree = tmp_path / "t.nwk"
@@ -390,13 +446,8 @@ class TestTopLevel:
         # Every command pays for the import. No command needs scipy.stats
         # or scipy.optimize, and scipy.special (about a third of a second)
         # is imported only by gamma models and the t-test, when they run.
-        import relate
-
-        src = str(Path(relate.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         code = ("import sys, relate, relate.cli; "
                 "assert relate.__file__.startswith(sys.argv[1]), relate.__file__; "
                 "loaded = [m for m in ('scipy.stats', 'scipy.optimize', 'scipy.special') if m in sys.modules]; "
                 "sys.exit(' and '.join(loaded) + ' loaded' if loaded else 0)")
-        subprocess.run([sys.executable, "-c", code, src], env=env, check=True)
+        subprocess.run([sys.executable, "-c", code, SRC], env=package_env(), check=True)

@@ -14,7 +14,7 @@ from relate.lexdata import (
     select_core_form,
 )
 from relate.msa import build_character_matrix
-from relate.permtest import WordMetric, pairwise_significance, run_permtest
+from relate.permtest import WordMetric, load_external_table, pairwise_significance, run_permtest
 from relate.soundclass import default_alphabet, encode_form, encode_segments, load_alphabet
 
 
@@ -113,6 +113,22 @@ class TestParseWordlist:
     def test_invalid_utf8_is_a_parse_error(self):
         with pytest.raises(ParseError, match="wordlist is not valid UTF-8"):
             parse_wordlist(b"LANGUAGE\tCONCEPT\tFORM\nLatin\thorn\t\xff\n")
+
+
+@pytest.mark.parametrize("reader, text, column", [
+    (parse_wordlist, "LANGUAGE\tCONCEPT\tFORM\tFORM\nLatin\thorn\tcornu\tkeras\n", "FORM"),
+    (load_external_table,
+     "LANG_A\tWORD_A\tLANG_B\tWORD_B\tDIST\tDIST\nA\tka\tB\tko\t0.5\t0.9\n", "DIST"),
+    (load_alphabet, "SEGMENT\tCLASS\tCLASS\nk\tK\tT\nt\tT\tK\n", "CLASS"),
+], ids=["wordlist", "distance-table", "segment-table"])
+def test_repeated_column_is_rejected_by_name(reader, text, column):
+    with pytest.raises(SchemaError, match=f"repeats column '{column}'"):
+        reader(text)
+
+
+def test_repeated_blank_column_is_ignored():
+    wl = parse_wordlist("LANGUAGE\tCONCEPT\tFORM\t\t\nLatin\thorn\tcornu\t\t\n")
+    assert wl.entries[0].form == "cornu"
 
 
 def make_wordlist(*entries: LexEntry) -> Wordlist:

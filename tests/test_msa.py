@@ -412,6 +412,19 @@ class TestCharacterMatrix:
         with pytest.raises(SchemaError, match=r"row 2 \('C'\) has 1 cells"):
             CharacterMatrix(["A", "B", "C"], [["K", "R"], ["K", "-"], ["K"]])
 
+    @pytest.mark.parametrize("payload", [
+        [1],
+        {"taxa": 5, "rows": ["KP", "KT"]},
+        {"taxa": "AB", "rows": ["KP", "KT"]},
+        {"taxa": ["A", "B"], "rows": [5, 6]},
+        {"taxa": ["A", "B"], "rows": ["KP", "KT"], "concept_bounds": [5]},
+        {"taxa": ["A", "B"], "rows": ["KP", "KT"], "concept_bounds": [["c", None, 2]]},
+        {"taxa": ["A", "B"], "rows": ["KP", "KT"], "concept_bounds": [["c", 0]]},
+    ])
+    def test_payload_of_wrong_shape_is_rejected(self, payload):
+        with pytest.raises(SchemaError):
+            CharacterMatrix.from_dict(payload)
+
     def test_ragged_matrix_payload_is_rejected(self):
         payload = {"taxa": ["A", "B"], "rows": ["KR", "K"]}
         with pytest.raises(SchemaError, match="row 1"):

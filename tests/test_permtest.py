@@ -21,7 +21,7 @@ from relate.errors import (
     ParseError,
     SchemaError,
 )
-from relate.lexdata import parse_wordlist
+from relate.lexdata import Wordlist, parse_wordlist
 from relate.permtest import (
     EXTERNAL,
     NOT_SUPPORTED,
@@ -34,17 +34,24 @@ from relate.permtest import (
     _Engine,
     load_external_table,
     _named_merges,
-    _significance,
+    _tested_merges,
     pairwise_significance,
     run_permtest,
 )
 from relate.soundclass import default_alphabet, encode_form
 
 
+def pair_merge(metric, wl, lang_a, lang_b, n_perm, seed):
+    """The single merge of the two-language merge tree of a pair, as
+    ``pairwise_significance`` computes it for each pair: (left, right,
+    distance, statistics)."""
+    [merge] = _tested_merges(_Engine(metric, wl), sorted((lang_a, lang_b)), n_perm, seed)
+    return merge
+
+
 def pair_significance(metric, wl, lang_a, lang_b, n_perm, seed):
-    """Statistics of one language pair against ``n_perm`` permutations, as
-    ``pairwise_significance`` computes them for each pair."""
-    return _significance(_Engine(metric, wl), lang_a, lang_b, n_perm, seed)[1]
+    """Statistics of one language pair against ``n_perm`` permutations."""
+    return pair_merge(metric, wl, lang_a, lang_b, n_perm, seed)[3]
 
 
 def pair_distances(metric, wl):
@@ -589,11 +596,11 @@ class TestChunkedReplicatesMatchOneAtATime:
         metric = three_metrics(wl)[metric_no]
         slots, tables, complement = oracle_inputs(metric, wl)
         langs = sorted(wl.languages)
-        got = _significance(
-            _Engine(metric, wl), langs[3], langs[0], n_perm=_CHUNK + 1, seed=8)
+        _, _, distance, result = pair_merge(
+            metric, wl, langs[3], langs[0], n_perm=_CHUNK + 1, seed=8)
         observed, stats = reference_significance(
             slots, tables, langs[3], langs[0], _CHUNK + 1, 8, complement)
-        assert (got[0], tuple(got[1])) == (observed, stats)
+        assert (distance, tuple(result)) == (observed, stats)
 
     @pytest.mark.parametrize("metric_no", range(3))
     def test_stacked_distances_match_each_replicate(self, metric_no):
@@ -657,6 +664,25 @@ class TestChunkedReplicatesMatchOneAtATime:
         for r in range(replicates):
             assert _named_merges(pairs[r], heights[r], languages) == reference_agglomerate(
                 bases[r], languages)
+
+
+class TestPairRowIsTwoLanguageMergeTree:
+    @pytest.mark.parametrize("metric_no", range(3))
+    def test_rows_equal_root_of_pair_wordlist(self, metric_no):
+        # Cutting the wordlist to a pair leaves each language's attested
+        # slots, and so the draws and distances, as they were.
+        wl = gapped_wordlist()
+        metric = three_metrics(wl)[metric_no]
+        rows = pairwise_significance(metric, wl, n_perm=_CHUNK + 2, seed=6)
+        pairs = [(a, b) for i, a in enumerate(wl.languages) for b in wl.languages[i + 1:]]
+        assert [(r["LANG_A"], r["LANG_B"]) for r in rows] == pairs
+        for k, (row, (a, b)) in enumerate(zip(rows, pairs), start=1):
+            cut = Wordlist(languages=(a, b), concepts=wl.concepts,
+                           entries=tuple(e for e in wl.entries if e.language in (a, b)))
+            root = run_permtest(metric, cut, n_perm=_CHUNK + 2,
+                                seed=6 + k * PAIR_SEED_STRIDE).root
+            assert (row["DIST"], row["S_HAT"], row["P"]) == (
+                root.distance, root.s_hat, root.p_value)
 
 
 class TestMergeHeights:

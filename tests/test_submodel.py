@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from helpers import matrix_from_rows, random_freq_model
+from relate.errors import SchemaError
 from relate.submodel import (
     SubstitutionModel,
     build_model,
@@ -209,6 +210,19 @@ class TestModelObject:
         assert np.allclose(clone.freqs, model.freqs)
         assert clone.p_inv == model.p_inv
         assert clone.rates == model.rates
+
+    @pytest.mark.parametrize("field, value", [
+        (None, [1]),
+        ("alphabet", 5),
+        ("alphabet", "KPTS"),
+        ("freqs", {"K": 1.0}),
+        ("mu", None),
+    ])
+    def test_payload_of_wrong_shape_is_rejected(self, field, value):
+        payload = random_freq_model(4, seed=20).to_dict()
+        payload = value if field is None else {**payload, field: value}
+        with pytest.raises(SchemaError):
+            SubstitutionModel.from_dict(payload)
 
     def test_with_p_inv_and_with_gamma(self):
         model = random_freq_model(4, seed=21)

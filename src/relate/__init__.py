@@ -13,7 +13,7 @@ from .errors import RelateError
 from .lexdata import FilterPolicy, LexEntry, Wordlist, parse_wordlist
 from .lrt import LrtConfig, LrtReport, run_lrt
 from .mlsearch import MlFit, SearchConfig, ml_tree
-from .msa import AlignScoring, CharacterMatrix, build_character_matrix
+from .msa import CharacterMatrix, build_character_matrix
 from .permtest import MergeTree, WordMetric, run_permtest
 from .phylik import Phylogeny, parse_newick, write_newick
 from .bootsim import SimConfig, simulate_matrix
@@ -22,7 +22,6 @@ from .submodel import SubstitutionModel, build_model, transition_prob
 from .treecmp import GoldTree, QuartetScore, gqd, parse_gold_tree
 
 __all__ = [
-    "AlignScoring",
     "CharacterMatrix",
     "ClassAlphabet",
     "FilterPolicy",

@@ -1,23 +1,27 @@
 """Alignment of consonant-class sequences and the concatenated matrix.
 
+The scores are fixed: a match scores ``MATCH`` (2), a mismatch
+``MISMATCH`` (-1) and every gap symbol ``GAP_SCORE`` (-2), so a gap run
+costs the same per symbol however long it is. In a profile column a gap
+against a symbol also scores -2 and a gap against a gap 0.
+
 Each concept's words are aligned progressively. The guide tree comes from
-average linkage on pairwise distances, whose affine-gap scores are computed
+average linkage on pairwise distances, whose scores are computed
 score-only for all word pairs of the concept at once: one dynamic program
 over padded integer codes, vectorised across pairs, each pair's score read
 at its own corner. Profiles are then merged bottom-up with a traced
-affine-gap dynamic program, and the per-concept alignments are
-concatenated into one character matrix whose columns are the sites of the
-phylogenetic model. All tie-breaking is fixed (diagonal over up over left
-in the dynamic program, lowest index pair in the guide tree) so the output
-is a pure function of the input.
+dynamic program, and the per-concept alignments are concatenated into one
+character matrix whose columns are the sites of the phylogenetic model.
+All tie-breaking is fixed (diagonal over up over left in the dynamic
+program, lowest index pair in the guide tree) so the output is a pure
+function of the input.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,133 +36,83 @@ from .soundclass import GAP, ClassSequence
 
 logger = logging.getLogger(__name__)
 
+MATCH = 2.0
+MISMATCH = -1.0
+GAP_SCORE = -2.0
+
 _NEG_INF = float("-inf")
 
 
-@dataclass(frozen=True)
-class AlignScoring:
-    """Affine-gap scoring. The first symbol of a gap run costs ``gap_open``,
-    every further symbol ``gap_extend``. All four scores must be finite,
-    ``match`` positive and above ``mismatch``, and the gap penalties not
-    positive; anything else raises ``ValueError``."""
-
-    match: float = 2.0
-    mismatch: float = -1.0
-    gap_open: float = -2.0
-    gap_extend: float = -2.0
-
-    def __post_init__(self):
-        scores = (self.match, self.mismatch, self.gap_open, self.gap_extend)
-        if not all(math.isfinite(value) for value in scores):
-            raise ValueError(f"alignment scores must be finite: {self}")
-        if self.match <= 0:
-            raise ValueError("match score must be positive")
-        if self.match <= self.mismatch:
-            raise ValueError("match score must exceed mismatch score")
-        if self.gap_open > 0 or self.gap_extend > 0:
-            raise ValueError("gap penalties must not be positive")
-
-
 def _gotoh(
-    n_a: int,
-    n_b: int,
-    column_score: Callable[[int, int], float],
-    scoring: AlignScoring,
+    n_a: int, n_b: int, table: list[list[float]]
 ) -> tuple[list[tuple[int | None, int | None]], float]:
-    """Affine-gap alignment of two column sequences given by length.
+    """Optimal alignment of two column sequences given by length, where
+    ``table[i][j]`` scores column i of A against column j of B and every
+    gap symbol scores ``GAP_SCORE``.
 
     Returns the aligned column pairs (``None`` marks a gap) and the optimal
-    score. State M pairs two columns, X consumes an A column against a gap,
-    Y a B column against a gap; ties prefer M, then X, then Y, which makes
-    the traceback prefer diagonal, then up, then left.
+    score. This is Gotoh's three-state program (M pairs two columns, X
+    consumes an A column against a gap, Y a B column against a gap) with
+    gap opening equal to extension, so each state at a cell is the best
+    value H of one neighbouring cell plus one score. Rounding is monotone,
+    so max(fl(a + g), fl(b + g)) = fl(max(a, b) + g), and one value per
+    cell holds all three states. The traceback recomputes the states from H
+    and keeps the three-state tie rule, M over X over Y, which makes it
+    prefer diagonal, then up, then left: after a diagonal move the states
+    are compared as they are, after a gap move each plus the gap score.
     """
-    open_, ext = scoring.gap_open, scoring.gap_extend
-    if n_a == 0 and n_b == 0:
-        return [], 0.0
-    if n_a == 0:
-        return [(None, j) for j in range(n_b)], open_ + ext * (n_b - 1)
-    if n_b == 0:
-        return [(i, None) for i in range(n_a)], open_ + ext * (n_a - 1)
-
     # Nested lists: reading and writing numpy scalars cell by cell costs more
-    # than the arithmetic. Predecessor state per cell: 0 = M, 1 = X, 2 = Y.
-    m_mat = [[_NEG_INF] * (n_b + 1) for _ in range(n_a + 1)]
-    x_mat = [[_NEG_INF] * (n_b + 1) for _ in range(n_a + 1)]
-    y_mat = [[_NEG_INF] * (n_b + 1) for _ in range(n_a + 1)]
-    m_ptr = [[0] * (n_b + 1) for _ in range(n_a + 1)]
-    x_ptr = [[0] * (n_b + 1) for _ in range(n_a + 1)]
-    y_ptr = [[0] * (n_b + 1) for _ in range(n_a + 1)]
-
-    m_mat[0][0] = 0.0
-    for i in range(1, n_a + 1):
-        x_mat[i][0] = float(open_ + ext * (i - 1))
-        x_ptr[i][0] = 1 if i > 1 else 0
+    # than the arithmetic.
+    h = [[0.0] * (n_b + 1) for _ in range(n_a + 1)]
     for j in range(1, n_b + 1):
-        y_mat[0][j] = float(open_ + ext * (j - 1))
-        y_ptr[0][j] = 2 if j > 1 else 0
-
-    def argbest(m: float, x: float, y: float) -> tuple[float, int]:
-        if m >= x and m >= y:
-            return m, 0
-        if x >= y:
-            return x, 1
-        return y, 2
-
+        h[0][j] = h[0][j - 1] + GAP_SCORE
     for i in range(1, n_a + 1):
-        m_up, x_up, y_up = m_mat[i - 1], x_mat[i - 1], y_mat[i - 1]
-        m_row, x_row, y_row = m_mat[i], x_mat[i], y_mat[i]
-        m_from, x_from, y_from = m_ptr[i], x_ptr[i], y_ptr[i]
+        up, row, scores = h[i - 1], h[i], table[i - 1]
+        row[0] = left = up[0] + GAP_SCORE
         for j in range(1, n_b + 1):
-            best, m_from[j] = argbest(m_up[j - 1], x_up[j - 1], y_up[j - 1])
-            m_row[j] = best + column_score(i - 1, j - 1)
-            x_row[j], x_from[j] = argbest(
-                m_up[j] + open_, x_up[j] + ext, y_up[j] + open_
-            )
-            y_row[j], y_from[j] = argbest(
-                m_row[j - 1] + open_, x_row[j - 1] + open_, y_row[j - 1] + ext
-            )
+            best = up[j - 1] + scores[j - 1]
+            if up[j] + GAP_SCORE > best:
+                best = up[j] + GAP_SCORE
+            if left + GAP_SCORE > best:
+                best = left + GAP_SCORE
+            row[j] = left = best
 
-    score, state = argbest(m_mat[n_a][n_b], x_mat[n_a][n_b], y_mat[n_a][n_b])
+    # shift is the gap score after a gap move and 0.0 otherwise.
     pairs: list[tuple[int | None, int | None]] = []
-    i, j = n_a, n_b
+    i, j, shift = n_a, n_b, 0.0
     while i > 0 or j > 0:
-        if state == 0:
+        m = h[i - 1][j - 1] + table[i - 1][j - 1] + shift if i and j else _NEG_INF
+        x = h[i - 1][j] + GAP_SCORE + shift if i else _NEG_INF
+        y = h[i][j - 1] + GAP_SCORE + shift if j else _NEG_INF
+        if m >= x and m >= y:
             pairs.append((i - 1, j - 1))
-            state = m_ptr[i][j]
-            i, j = i - 1, j - 1
-        elif state == 1:
+            i, j, shift = i - 1, j - 1, 0.0
+        elif x >= y:
             pairs.append((i - 1, None))
-            state = x_ptr[i][j]
-            i -= 1
+            i, shift = i - 1, GAP_SCORE
         else:
             pairs.append((None, j - 1))
-            state = y_ptr[i][j]
-            j -= 1
+            j, shift = j - 1, GAP_SCORE
     pairs.reverse()
-    return pairs, float(score)
+    return pairs, h[n_a][n_b]
 
 
 def pairwise_align(
-    a: ClassSequence,
-    b: ClassSequence,
-    scoring: AlignScoring = AlignScoring(),
+    a: ClassSequence, b: ClassSequence
 ) -> tuple[ClassSequence, ClassSequence, float]:
-    """Optimal affine-gap alignment of two encoded words.
+    """Optimal alignment of two encoded words.
 
     Returns gap-padded versions of ``a`` and ``b`` and the score.
     """
-
-    def column_score(i: int, j: int) -> float:
-        return scoring.match if a[i] == b[j] else scoring.mismatch
-
-    pairs, score = _gotoh(len(a), len(b), column_score, scoring)
+    table = [[MATCH if x == y else MISMATCH for y in b] for x in a]
+    pairs, score = _gotoh(len(a), len(b), table)
     out_a = tuple(GAP if i is None else a[i] for i, _ in pairs)
     out_b = tuple(GAP if j is None else b[j] for _, j in pairs)
     return out_a, out_b, score
 
 
-def _pair_scores(words: Sequence[np.ndarray], scoring: AlignScoring) -> np.ndarray:
-    """Optimal affine-gap scores of every word pair (a, b), a < b, in
+def _pair_scores(words: Sequence[np.ndarray]) -> np.ndarray:
+    """Optimal alignment scores of every word pair (a, b), a < b, in
     ``np.triu_indices`` order; ``words`` are integer-coded.
 
     One score-only dynamic program runs for all pairs at once over the words
@@ -167,7 +121,6 @@ def _pair_scores(words: Sequence[np.ndarray], scoring: AlignScoring) -> np.ndarr
     so padding never reaches a corner, and each cell takes the maximum of the
     same sums as :func:`_gotoh`: the scores equal :func:`pairwise_align`'s.
     """
-    open_, ext = scoring.gap_open, scoring.gap_extend
     lengths = np.array([len(w) for w in words])
     width = int(lengths.max())
     codes = np.full((len(words), width), -1)
@@ -178,51 +131,40 @@ def _pair_scores(words: Sequence[np.ndarray], scoring: AlignScoring) -> np.ndarr
     codes_a, codes_b = codes[ia].T, codes[ib].T
     scores = np.empty(len(ia))
 
-    # Tables hold one row of the dynamic program, indexed [j, pair].
-    m_row = np.full((width + 1, len(ia)), _NEG_INF)
-    x_row = np.full_like(m_row, _NEG_INF)
-    y_row = np.full_like(m_row, _NEG_INF)
-    m_row[0] = 0.0
+    # One row of the dynamic program, indexed [j, pair].
+    row = np.empty((width + 1, len(ia)))
+    row[0] = 0.0
     for j in range(1, width + 1):
-        y_row[j] = open_ + ext * (j - 1)
+        row[j] = row[j - 1] + GAP_SCORE
     for i in range(width + 1):
         if i > 0:
-            column = np.where(codes_a[i - 1] == codes_b, scoring.match, scoring.mismatch)
-            m_new = np.full_like(m_row, _NEG_INF)
-            m_new[1:] = np.maximum(np.maximum(m_row[:-1], x_row[:-1]), y_row[:-1]) + column
-            x_new = np.empty_like(m_row)
-            x_new[0] = open_ + ext * (i - 1)
-            x_new[1:] = np.maximum(
-                np.maximum(m_row[1:] + open_, x_row[1:] + ext), y_row[1:] + open_
-            )
-            y_new = np.full_like(m_row, _NEG_INF)
-            opened = np.maximum(m_new + open_, x_new + open_)
+            column = np.where(codes_a[i - 1] == codes_b, MATCH, MISMATCH)
+            new = np.empty_like(row)
+            new[0] = row[0] + GAP_SCORE
+            new[1:] = np.maximum(row[:-1] + column, row[1:] + GAP_SCORE)
             for j in range(1, width + 1):
-                y_new[j] = np.maximum(opened[j - 1], y_new[j - 1] + ext)
-            m_row, x_row, y_row = m_new, x_new, y_new
+                new[j] = np.maximum(new[j], new[j - 1] + GAP_SCORE)
+            row = new
         ends = np.flatnonzero(len_a == i)
-        cols = len_b[ends]
-        scores[ends] = np.maximum(
-            np.maximum(m_row[cols, ends], x_row[cols, ends]), y_row[cols, ends]
-        )
+        scores[ends] = row[len_b[ends], ends]
     return scores
 
 
-def _guide_distances(words: Sequence[np.ndarray], scoring: AlignScoring) -> np.ndarray:
-    """Symmetric distance matrix ``1 - score / (match * longer length)``."""
+def _guide_distances(words: Sequence[np.ndarray]) -> np.ndarray:
+    """Symmetric distance matrix ``1 - score / (MATCH * longer length)``."""
     lengths = np.array([len(w) for w in words])
     ia, ib = np.triu_indices(len(words), 1)
-    limit = scoring.match * np.maximum(lengths[ia], lengths[ib])
+    limit = MATCH * np.maximum(lengths[ia], lengths[ib])
     dist = np.zeros((len(words), len(words)))
-    dist[ia, ib] = dist[ib, ia] = 1.0 - _pair_scores(words, scoring) / limit
+    dist[ia, ib] = dist[ib, ia] = 1.0 - _pair_scores(words) / limit
     return dist
 
 
-def _symbol_scores(n_codes: int, scoring: AlignScoring) -> np.ndarray:
+def _symbol_scores(n_codes: int) -> np.ndarray:
     """Score of every pair of symbol codes in a profile column, code 0 = gap."""
-    table = np.full((n_codes, n_codes), float(scoring.mismatch))
-    np.fill_diagonal(table, scoring.match)
-    table[0, :] = table[:, 0] = scoring.gap_extend
+    table = np.full((n_codes, n_codes), MISMATCH)
+    np.fill_diagonal(table, MATCH)
+    table[0, :] = table[:, 0] = GAP_SCORE
     table[0, 0] = 0.0
     return table
 
@@ -244,21 +186,19 @@ def _column_scores(
 
 
 def _merge_profiles(
-    rows_a: np.ndarray,
-    rows_b: np.ndarray,
-    symbol_scores: np.ndarray,
-    scoring: AlignScoring,
+    rows_a: np.ndarray, rows_b: np.ndarray, symbol_scores: np.ndarray
 ) -> np.ndarray:
     """Align two integer-coded profiles (code 0 = gap) column against column.
 
     A column pair is scored by the mean pairwise symbol score over all row
-    combinations, ``symbol_scores[x, y]`` per symbol pair; new gap columns pay
-    the affine penalties unscaled, which keeps them on the same footing as the
-    averaged column scores.
+    combinations, ``symbol_scores[x, y]`` per symbol pair (a match 2, a
+    mismatch -1, a gap against a symbol -2, two gaps 0). A new gap column
+    scores ``GAP_SCORE`` (-2) unscaled, the score of a gap against a symbol,
+    which keeps it on the same footing as the averaged column scores.
     """
     (r_a, n_a), (r_b, n_b) = rows_a.shape, rows_b.shape
     table = _column_scores(rows_a, rows_b, symbol_scores).tolist()
-    pairs, _ = _gotoh(n_a, n_b, lambda i, j: table[i][j], scoring)
+    pairs, _ = _gotoh(n_a, n_b, table)
     merged = np.zeros((r_a + r_b, len(pairs)), dtype=rows_a.dtype)
     for c, (i, j) in enumerate(pairs):
         if i is not None:
@@ -309,9 +249,7 @@ def _average_linkage_order(dist: np.ndarray) -> list[tuple[int, int]]:
 
 
 def progressive_align(
-    seqs: Sequence[ClassSequence],
-    scoring: AlignScoring = AlignScoring(),
-    concept: str = "?",
+    seqs: Sequence[ClassSequence], concept: str = "?"
 ) -> ConceptAlignment:
     """Align one concept's words across languages.
 
@@ -332,12 +270,12 @@ def progressive_align(
         words = [
             np.array([code.setdefault(c, len(code)) for c in seqs[p]]) for p in present
         ]
-        symbol_scores = _symbol_scores(len(code), scoring)
+        symbol_scores = _symbol_scores(len(code))
 
         profiles = {a: word[None, :] for a, word in enumerate(words)}
         members: dict[int, list[int]] = {a: [p] for a, p in enumerate(present)}
-        for i, j in _average_linkage_order(_guide_distances(words, scoring)):
-            profiles[i] = _merge_profiles(profiles[i], profiles[j], symbol_scores, scoring)
+        for i, j in _average_linkage_order(_guide_distances(words)):
+            profiles[i] = _merge_profiles(profiles[i], profiles[j], symbol_scores)
             members[i] = members[i] + members[j]
             del profiles[j], members[j]
         (root,) = profiles
@@ -444,6 +382,9 @@ class CharacterMatrix:
 
     @classmethod
     def from_alignment_text(cls, text: str) -> "CharacterMatrix":
+        """Parse :meth:`to_alignment_text` output or relaxed phylip. A row
+        line splits at its first tab, so a name may hold spaces; a line
+        without a tab splits at its first whitespace."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ParseError("empty alignment")
@@ -455,10 +396,10 @@ class CharacterMatrix:
             raise ParseError(f"expected {m} rows, found {len(lines) - 1}")
         taxa, rows = [], []
         for lineno, line in enumerate(lines[1:], start=2):
-            parts = line.split(None, 1)
-            if len(parts) != 2:
+            parts = line.split("\t", 1) if "\t" in line else line.split(None, 1)
+            if len(parts) != 2 or not parts[0].strip():
                 raise ParseError("expected '<name> <row>'", line=lineno)
-            name, row = parts[0], parts[1].replace(" ", "")
+            name, row = parts[0].strip(), parts[1].strip().replace(" ", "")
             if len(row) != n:
                 raise ParseError(
                     f"row has {len(row)} sites, expected {n}", line=lineno
@@ -516,9 +457,7 @@ class CharacterMatrix:
         return cls(taxa=taxa, cells=[list(r) for r in rows], concept_bounds=bounds)
 
 
-def build_character_matrix(
-    wl: Wordlist, scoring: AlignScoring = AlignScoring()
-) -> CharacterMatrix:
+def build_character_matrix(wl: Wordlist) -> CharacterMatrix:
     """Align and concatenate the class sequences of a preprocessed wordlist.
 
     Every (language, concept) slot must hold at most one entry. Concepts
@@ -543,7 +482,7 @@ def build_character_matrix(
         if not any(seqs):
             logger.warning("concept %r has no encodable word; skipped", concept)
             continue
-        alignment = progressive_align(seqs, scoring, concept)
+        alignment = progressive_align(seqs, concept)
         for row, aligned in zip(columns, alignment.rows):
             row.extend(aligned)
         bounds.append((concept, cursor, cursor + alignment.width))

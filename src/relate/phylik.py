@@ -259,9 +259,10 @@ class _NewickReader:
 
 
 def _topology_from_text(
-    text: str, default_length: float = DEFAULT_BRANCH_LENGTH
+    text: str,
 ) -> tuple[dict[int, dict[int, float]], dict[int, str]]:
-    """Parse Newick into a cleaned unrooted adjacency.
+    """Parse Newick into a cleaned unrooted adjacency; a missing branch
+    length is ``DEFAULT_BRANCH_LENGTH``.
 
     Unnamed dangling nodes are removed and degree-two nodes (including a
     rooted tree's root) are fused, their lengths summed. Multifurcations
@@ -289,7 +290,7 @@ def _topology_from_text(
             cidx = build(child)
             length = child["length"]
             if length is None:
-                length = default_length
+                length = DEFAULT_BRANCH_LENGTH
             adjacency[idx][cidx] = length
             adjacency[cidx][idx] = length
         return idx

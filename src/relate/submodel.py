@@ -67,14 +67,15 @@ def gamma_categories(shape: float, n_cats: int) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class SubstitutionModel:
-    """Frozen parameter bundle: alphabet, frequencies, and rate structure."""
+    """Frozen parameter bundle: alphabet, frequencies, and rate structure.
+    ``mu`` and ``rates`` are derived from the other fields."""
 
     alphabet: tuple[str, ...]
     freqs: np.ndarray
-    mu: float
     p_inv: float = 0.0
     gamma_shape: float | None = None
     n_rate_cats: int = 1
+    mu: float = field(init=False)
     rates: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
@@ -93,9 +94,7 @@ class SubstitutionModel:
             raise ValueError("all stationary frequencies must be positive")
         if abs(freqs.sum() - 1.0) > FREQ_TOL:
             raise ValueError(f"frequencies sum to {freqs.sum()!r}, not 1")
-        expected_mu = 1.0 / (1.0 - float(freqs @ freqs))
-        if not np.isclose(self.mu, expected_mu, rtol=1e-9, atol=0.0):
-            raise ValueError(f"mu must be {expected_mu!r} for these frequencies")
+        object.__setattr__(self, "mu", 1.0 / (1.0 - float(freqs @ freqs)))
         if not 0.0 <= self.p_inv < 1.0:
             raise ValueError(f"p_inv must lie in [0, 1), got {self.p_inv}")
         if self.gamma_shape is None:
@@ -135,10 +134,10 @@ class SubstitutionModel:
             alphabet = payload["alphabet"]
             if not isinstance(alphabet, list) or not all(isinstance(s, str) for s in alphabet):
                 raise SchemaError("model alphabet must be a list of strings")
-            return cls(
+            mu = float(payload["mu"])
+            model = cls(
                 alphabet=tuple(alphabet),
                 freqs=np.asarray(payload["freqs"], dtype=float),
-                mu=float(payload["mu"]),
                 p_inv=float(payload["p_inv"]),
                 gamma_shape=(
                     None if payload.get("gamma_shape") is None
@@ -150,6 +149,9 @@ class SubstitutionModel:
             raise SchemaError(f"model payload lacks {exc}") from exc
         except TypeError as exc:
             raise SchemaError(f"bad model payload: {exc}") from exc
+        if not np.isclose(mu, model.mu, rtol=1e-9, atol=0.0):
+            raise ValueError(f"mu must be {model.mu!r} for these frequencies")
+        return model
 
 
 def build_model(
@@ -183,11 +185,9 @@ def build_model(
     total = counts.sum() + PSEUDOCOUNT * len(states)
     freqs = (counts + PSEUDOCOUNT) / total
     freqs /= freqs.sum()
-    mu = 1.0 / (1.0 - float(freqs @ freqs))
     return SubstitutionModel(
         alphabet=states,
         freqs=freqs,
-        mu=mu,
         p_inv=p_inv,
         gamma_shape=gamma_shape,
         n_rate_cats=n_rate_cats,

@@ -88,11 +88,9 @@ def random_freq_model(n_states: int, seed: int, p_inv: float = 0.0,
     rng = np.random.default_rng(seed)
     freqs = rng.dirichlet(np.full(n_states, 5.0))
     alphabet = tuple("ABCDEFGHIJ"[:n_states])
-    mu = 1.0 / (1.0 - float(freqs @ freqs))
     return SubstitutionModel(
         alphabet=alphabet,
         freqs=tuple(freqs),
-        mu=mu,
         p_inv=p_inv,
         gamma_shape=gamma_shape,
         n_rate_cats=n_rate_cats,

@@ -314,6 +314,20 @@ class TestMltreeCommand:
         assert one["fit"]["log_likelihood"] == pytest.approx(
             two["fit"]["log_likelihood"], abs=1e-6)
 
+    def test_saved_matrix_with_spaced_taxon_reads_back(self, tmp_path):
+        rows = [("Old English" if lang == "L00" else lang, concept, form)
+                for lang, concept, form in related_wordlist_rows(4, 12, seed=21)]
+        words, saved = tmp_path / "words.tsv", tmp_path / "matrix.txt"
+        words.write_text(wordlist_text(rows), encoding="utf-8")
+        assert main(["mltree", "--wordlist", str(words), "--p-inv", "0.05",
+                     "--out", str(tmp_path / "a.json"),
+                     "--save-matrix", str(saved)]) == EXIT_OK
+        assert main(["mltree", "--matrix", str(saved), "--p-inv", "0.05",
+                     "--out", str(tmp_path / "b.json")]) == EXIT_OK
+        matrix = CharacterMatrix.from_alignment_text(
+            saved.read_text(encoding="utf-8"))
+        assert matrix.taxa[0] == "Old English"
+
     def test_wordlist_and_matrix_are_mutually_exclusive(
             self, tmp_path, wordlist_path, capsys):
         rc = main(["mltree", "--wordlist", wordlist_path,
@@ -362,6 +376,28 @@ class TestSimulateCommand:
         rc = main(["mltree", "--matrix", str(rep), "--p-inv", "0.05",
                    "--out", str(tmp_path / "refit.json")])
         assert rc == EXIT_OK
+
+    def test_template_with_spaced_taxon_keeps_the_name(self, tmp_path):
+        rows = [("Old English" if lang == "L00" else lang, concept, form)
+                for lang, concept, form in related_wordlist_rows(4, 12, seed=21)]
+        words = tmp_path / "words.tsv"
+        words.write_text(wordlist_text(rows), encoding="utf-8")
+        fit, template = self.fit_and_template(tmp_path, str(words))
+        out = tmp_path / "rep.json"
+        assert main(["simulate", "--fit", fit, "--template", template,
+                     "--out", str(out)]) == EXIT_OK
+        replicate = CharacterMatrix.from_dict(read_json(out)["matrix"])
+        assert replicate.taxa[0] == "Old English"
+
+    def test_fit_whose_mu_disagrees_exits_1(self, tmp_path, wordlist_path, capsys):
+        fit, template = self.fit_and_template(tmp_path, wordlist_path)
+        payload = read_json(fit)
+        payload["fit"]["model"]["mu"] *= 1.5
+        Path(fit).write_text(json.dumps(payload), encoding="utf-8")
+        rc = main(["simulate", "--fit", fit, "--template", template,
+                   "--out", str(tmp_path / "rep.json")])
+        assert rc == EXIT_INPUT
+        assert "mu must be" in capsys.readouterr().err
 
     def test_resizing_with_gap_mask_exits_1(self, tmp_path, wordlist_path, capsys):
         fit, template = self.fit_and_template(tmp_path, wordlist_path)

@@ -1,7 +1,7 @@
 """Pairwise and progressive alignment, and the concatenated matrix."""
 
+import hashlib
 import itertools
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from relate.errors import EmptyConceptError, InsufficientDataError, SchemaError
 from relate import msa
 from relate.lexdata import parse_wordlist
 from relate.msa import (
-    AlignScoring,
     CharacterMatrix,
     ConceptAlignment,
     build_character_matrix,
@@ -22,13 +21,8 @@ from relate.msa import (
     progressive_align,
 )
 
-DEFAULT = AlignScoring()
-# Gap opening dearer than extension, so swapped open/extend terms show.
-AFFINE = AlignScoring(match=2, mismatch=-3, gap_open=-4, gap_extend=-1)
-HALF = AlignScoring(match=1.5, mismatch=-0.5, gap_open=-2.5, gap_extend=-0.5)
-# Not dyadic: sums round, so any change of summation order shows.
-ROUNDING = AlignScoring(match=1.1, mismatch=-0.7, gap_open=-1.3, gap_extend=-0.3)
-SCORINGS = [DEFAULT, AFFINE, HALF, ROUNDING]
+# The oracles' (match, mismatch, gap_open, gap_extend): one gap score.
+SCORES = (msa.MATCH, msa.MISMATCH, msa.GAP_SCORE, msa.GAP_SCORE)
 
 SHORT_WORDS = [tuple(p) for n in range(4)
                for p in itertools.product("KRS", repeat=n)]
@@ -40,100 +34,62 @@ def _codes(words):
             for w in words]
 
 
-class TestAlignScoring:
-    @pytest.mark.parametrize("field", ["match", "mismatch", "gap_open",
-                                       "gap_extend"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
-                                       float("-inf")])
-    def test_non_finite_scores_are_rejected(self, field, value):
-        with pytest.raises(ValueError, match="finite"):
-            AlignScoring(**{field: value})
-
-    @pytest.mark.parametrize("match", [0.0, -0.5])
-    def test_non_positive_match_is_rejected(self, match):
-        # match = 0 would divide every guide-tree distance by zero, and a
-        # negative match would flip the sign of the distances.
-        with pytest.raises(ValueError, match="positive"):
-            AlignScoring(match=match, mismatch=-1.0)
-
-    def test_match_must_exceed_mismatch(self):
-        with pytest.raises(ValueError, match="exceed"):
-            AlignScoring(match=1.0, mismatch=1.0)
-
-
 class TestPairwiseAlign:
     def test_identity_has_no_gaps(self):
         row_a, row_b, score = pairwise_align(("K", "R", "N"), ("K", "R", "N"))
         assert row_a == row_b == ("K", "R", "N")
-        assert score == 3 * DEFAULT.match
+        assert score == 3 * msa.MATCH
 
     def test_single_mismatch_beats_gapping(self):
         row_a, row_b, score = pairwise_align(("K", "R", "S"), ("K", "R", "N"))
         assert row_a == ("K", "R", "S")
         assert row_b == ("K", "R", "N")
-        assert score == 2 * DEFAULT.match + DEFAULT.mismatch
+        assert score == 2 * msa.MATCH + msa.MISMATCH
 
     def test_empty_versus_one_symbol(self):
         row_a, row_b, score = pairwise_align((), ("K",))
         assert row_a == ("-",)
         assert row_b == ("K",)
-        assert score == DEFAULT.gap_open
+        assert score == msa.GAP_SCORE
 
     def test_both_empty(self):
         assert pairwise_align((), ()) == ((), (), 0.0)
 
-    def test_score_matches_enumeration_on_short_words(self):
-        rng = np.random.default_rng(5)
+    @pytest.mark.parametrize("seed", [5, 6, 7, 8])
+    def test_score_matches_enumeration_on_short_words(self, seed):
+        rng = np.random.default_rng(seed)
         picks = rng.choice(len(SHORT_WORDS), size=(60, 2))
         for i, j in picks:
             a, b = SHORT_WORDS[int(i)], SHORT_WORDS[int(j)]
             row_a, row_b, score = pairwise_align(a, b)
-            best = oracles.best_alignment_score(
-                a, b, DEFAULT.match, DEFAULT.mismatch,
-                DEFAULT.gap_open, DEFAULT.gap_extend)
+            best = oracles.best_alignment_score(a, b, *SCORES)
             assert score == pytest.approx(best)
             # The returned alignment itself must realize the optimum.
-            rescored = oracles.score_pairwise_rows(
-                row_a, row_b, DEFAULT.match, DEFAULT.mismatch,
-                DEFAULT.gap_open, DEFAULT.gap_extend)
+            rescored = oracles.score_pairwise_rows(row_a, row_b, *SCORES)
             assert rescored == pytest.approx(best)
 
-    @pytest.mark.parametrize("scoring", [DEFAULT, AFFINE, HALF],
-                             ids=["default", "affine", "half"])
     @pytest.mark.parametrize("reverse", [False, True])
     def test_batched_scores_match_enumeration_on_all_short_word_pairs(
-            self, scoring, reverse):
+            self, reverse):
         # Every pair of the short-word set (the empty word included) in one
-        # batch, in both orientations; the scorings are dyadic, so exact.
+        # batch, in both orientations; the scores are dyadic, so exact.
         words = SHORT_WORDS[::-1] if reverse else SHORT_WORDS
-        scores = msa._pair_scores(_codes(words), scoring)
+        scores = msa._pair_scores(_codes(words))
         pairs = list(itertools.combinations(words, 2))
         assert len(scores) == len(pairs)
         for (a, b), score in zip(pairs, scores):
-            assert score == oracles.best_alignment_score(a, b, *astuple(scoring))
-            assert score == pairwise_align(a, b, scoring)[2]
+            assert score == oracles.best_alignment_score(a, b, *SCORES)
+            assert score == pairwise_align(a, b)[2]
 
-    @pytest.mark.parametrize("scoring", SCORINGS)
-    def test_batched_scores_equal_traced_scores_bit_for_bit(self, scoring):
-        rng = np.random.default_rng(11)
+    @pytest.mark.parametrize("seed", [11, 12, 13, 14])
+    def test_batched_scores_equal_traced_scores_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
         words = [tuple(rng.choice(list("PTKSRNM"), size=n))
                  for n in rng.integers(1, 9, size=14)]
         words.append(("K",) * 15)
-        scores = msa._pair_scores(_codes(words), scoring)
+        scores = msa._pair_scores(_codes(words))
         for (a, b), score in zip(itertools.combinations(words, 2), scores):
-            assert score == pairwise_align(a, b, scoring)[2]
-
-    def test_affine_scoring_with_cheaper_extension(self):
-        scoring = AlignScoring(match=2, mismatch=-3, gap_open=-4,
-                               gap_extend=-1)
-        for a, b in [(("K", "R", "S", "N"), ("K", "N")),
-                     (("K",), ("K", "R", "S", "N")),
-                     (("P", "T", "K"), ("T", "K", "M", "N"))]:
-            _, _, score = pairwise_align(a, b, scoring)
-            best = oracles.best_alignment_score(
-                a, b, scoring.match, scoring.mismatch,
-                scoring.gap_open, scoring.gap_extend)
-            assert score == pytest.approx(best)
+            assert score == pairwise_align(a, b)[2]
 
     def test_gap_stripping_recovers_inputs(self):
         a, b = ("K", "R", "S"), ("S", "R", "N", "K")
@@ -152,7 +108,7 @@ class TestProgressiveAlign:
 
     def test_horn_words_share_the_liquid_column(self):
         # keras, cornu, horn, srnga. The shared R lands in one gap-free
-        # column; under the default scoring the optimum has width 4.
+        # column; the optimum has width 4.
         seqs = [("K", "R", "S"), ("K", "R", "N"), ("H", "R", "N"),
                 ("S", "R", "N", "K")]
         alignment = progressive_align(seqs)
@@ -185,12 +141,8 @@ class TestProgressiveAlign:
         alignment = progressive_align(seqs)
         for (sa, ra), (sb, rb) in itertools.combinations(
                 zip(seqs, alignment.rows), 2):
-            projected = oracles.score_pairwise_rows(
-                ra, rb, DEFAULT.match, DEFAULT.mismatch,
-                DEFAULT.gap_open, DEFAULT.gap_extend)
-            best = oracles.best_alignment_score(
-                sa, sb, DEFAULT.match, DEFAULT.mismatch,
-                DEFAULT.gap_open, DEFAULT.gap_extend)
+            projected = oracles.score_pairwise_rows(ra, rb, *SCORES)
+            best = oracles.best_alignment_score(sa, sb, *SCORES)
             assert projected <= best + 1e-9
 
 
@@ -227,8 +179,8 @@ def _concept_case(rng, case):
     return seqs
 
 
-def _reference_alignment(seqs, scoring=DEFAULT, concept="?"):
-    rows = oracles.reference_progressive_align(seqs, *astuple(scoring))
+def _reference_alignment(seqs, concept="?"):
+    rows = oracles.reference_progressive_align(seqs, *SCORES)
     return ConceptAlignment(concept=concept, rows=rows, width=len(rows[0]))
 
 
@@ -236,18 +188,17 @@ class TestMatchesOneAtATimeReference:
     """Batched guide-tree scores, array linkage and tabled column scores
     reproduce the pair-by-pair, cell-by-cell alignment exactly."""
 
-    @pytest.mark.parametrize("scoring", SCORINGS)
+    @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("case", CASES)
-    def test_progressive_align(self, case, scoring):
-        rng = np.random.default_rng(CASES.index(case))
+    def test_progressive_align(self, case, seed):
+        rng = np.random.default_rng(CASES.index(case) + 10 * seed)
         for _ in range(12):
             seqs = _concept_case(rng, case)
-            got = progressive_align(seqs, scoring, "c")
-            assert got == _reference_alignment(seqs, scoring, "c"), seqs
+            got = progressive_align(seqs, "c")
+            assert got == _reference_alignment(seqs, "c"), seqs
 
-    @pytest.mark.parametrize("scoring", SCORINGS)
-    @pytest.mark.parametrize("seed", [3, 4])
-    def test_build_character_matrix(self, seed, scoring, monkeypatch):
+    @pytest.mark.parametrize("seed", range(3, 11))
+    def test_build_character_matrix(self, seed, monkeypatch):
         rng = np.random.default_rng(seed)
         rows = helpers.related_wordlist_rows(7, 25, seed, mutation=0.5)
         # Missing slots, one-class words, a long word and shared forms.
@@ -256,18 +207,18 @@ class TestMatchesOneAtATimeReference:
         rows += [("L00", "long", "takasanamaparatakasanama"),
                  ("L01", "long", "ta"), ("L02", "long", "kan")]
         wl = parse_wordlist(wordlist_text(rows))
-        got = build_character_matrix(wl, scoring=scoring)
+        got = build_character_matrix(wl)
         monkeypatch.setattr(msa, "progressive_align", _reference_alignment)
-        want = build_character_matrix(wl, scoring=scoring)
+        want = build_character_matrix(wl)
         assert got == want
         assert got.to_alignment_text() == want.to_alignment_text()
 
 
-@pytest.mark.parametrize("scoring", SCORINGS)
-def test_column_scores_match_reference_bit_for_bit(scoring):
-    rng = np.random.default_rng(21)
+@pytest.mark.parametrize("seed", [21, 22, 23, 24])
+def test_column_scores_match_reference_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
     symbols = "-PTKSRN"
-    table = msa._symbol_scores(len(symbols), scoring)
+    table = msa._symbol_scores(len(symbols))
     for r_a, r_b in [(1, 1), (3, 5), (7, 4), (12, 11)]:
         # Gap-heavy profiles: code 0 is the gap.
         rows_a = rng.integers(0, len(symbols), size=(r_a, 6)) * (rng.random((r_a, 6)) > 0.3)
@@ -278,8 +229,60 @@ def test_column_scores_match_reference_bit_for_bit(scoring):
                 want = oracles.reference_column_score(
                     [symbols[c] for c in rows_a[:, i]],
                     [symbols[c] for c in rows_b[:, j]],
-                    scoring.match, scoring.mismatch, scoring.gap_extend)
+                    msa.MATCH, msa.MISMATCH, msa.GAP_SCORE)
                 assert got[i, j] == want
+
+
+# sha256 of to_alignment_text() as the three-state (Gotoh) program built it.
+PINNED_MATRICES = {
+    31: "9d2afa2bbc79f83b88e6d25d1bd2f170a00cbacd53ccf506f14f8e62dc408d4f",
+    32: "594b69f320fb25c4e4af93ac94bf5c1182a4bae10af9fc6e5a5f27c17afd3b19",
+    33: "d09eeab0797a3bcc81000506ad8075543510696a2b14cbc61509a54b6844d9f3",
+    34: "3da899fd5155a5f47edc6d2e29ac89e4246d50ac1e5a258479d50c9e9acd3dc8",
+    35: "5bc13ad1dc83a641dd29badc76e104893bfb689162dabc6472306e3d3d327ad1",
+    36: "f1e97f0348db8b5c0af146c0f5a65e40b6e8ffe3c708dd9ef9cb90e1559176d7",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_MATRICES))
+def test_matrix_is_byte_identical_to_three_state_program(seed):
+    rows = helpers.related_wordlist_rows(6 + seed % 3, 30, seed, mutation=0.45)
+    text = build_character_matrix(
+        parse_wordlist(wordlist_text(rows))).to_alignment_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_MATRICES[seed]
+
+
+class TestTieRule:
+    """The one-value traceback breaks ties as the three-state program does:
+    a gap state's predecessor is chosen among the states plus the gap
+    score, whose rounding can tie values that differ."""
+
+    def test_gap_move_compares_states_plus_gap_score(self):
+        rows_a = np.array([[2, 1, 1, 0, 2, 2, 2]])
+        rows_b = np.array([[1], [1], [2], [0], [0], [1], [1]])
+        merged = msa._merge_profiles(rows_a, rows_b, msa._symbol_scores(3))
+        # B's one column pairs with A's column 2, not column 1.
+        assert np.array_equal(merged[0], rows_a[0])
+        assert np.array_equal(merged[1:, 2], rows_b[:, 0])
+        assert not merged[1:, [0, 1, 3, 4, 5, 6]].any()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pairs_and_score_match_three_state_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(1500):
+            # Gap-heavy profiles over few symbols: many near-ties.
+            n_codes = int(rng.integers(2, 5))
+            shape_a = rng.integers(1, 8), rng.integers(1, 9)
+            shape_b = rng.integers(1, 8), rng.integers(1, 9)
+            rows_a = rng.integers(1, n_codes, size=shape_a) * (rng.random(shape_a) > 0.4)
+            rows_b = rng.integers(1, n_codes, size=shape_b) * (rng.random(shape_b) > 0.4)
+            table = msa._column_scores(
+                rows_a, rows_b, msa._symbol_scores(n_codes)).tolist()
+            n_a, n_b = shape_a[1], shape_b[1]
+            got = msa._gotoh(n_a, n_b, table)
+            want = oracles._reference_gotoh(
+                n_a, n_b, lambda i, j: table[i][j], *SCORES)
+            assert got == want, (rows_a, rows_b)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -387,6 +390,22 @@ class TestCharacterMatrix:
         parsed = CharacterMatrix.from_alignment_text(m.to_alignment_text())
         assert parsed.taxa == m.taxa
         assert np.array_equal(parsed.cells, m.cells)
+
+    def test_alignment_text_roundtrip_keeps_spaced_names(self):
+        m = CharacterMatrix(["Old English", "Gothic"], [["K", "R"], ["K", "-"]])
+        parsed = CharacterMatrix.from_alignment_text(m.to_alignment_text())
+        assert parsed == m
+
+    def test_tab_separated_row_may_hold_spaces(self):
+        parsed = CharacterMatrix.from_alignment_text(
+            "2 4\nOld English\tKR -T\nGothic\tK-PT\n")
+        assert parsed.taxa == ("Old English", "Gothic")
+        assert ["".join(r) for r in parsed.cells] == ["KR-T", "K-PT"]
+
+    def test_relaxed_phylip_without_tabs_splits_at_whitespace(self):
+        parsed = CharacterMatrix.from_alignment_text("2 4\nA  KR -T\nB K-PT\n")
+        assert parsed.taxa == ("A", "B")
+        assert ["".join(r) for r in parsed.cells] == ["KR-T", "K-PT"]
 
     def test_fasta_roundtrip(self):
         m = CharacterMatrix(["A", "B"], [["K", "R"], ["K", "-"]],

@@ -32,9 +32,7 @@ from relate.submodel import SubstitutionModel
 
 
 def small_model(p_inv: float = 0.0, gamma_shape=None, n_cats: int = 1):
-    freqs = (0.5, 0.3, 0.2)
-    mu = 1.0 / (1.0 - (0.25 + 0.09 + 0.04))
-    return SubstitutionModel(alphabet=("A", "B", "C"), freqs=freqs, mu=mu,
+    return SubstitutionModel(alphabet=("A", "B", "C"), freqs=(0.5, 0.3, 0.2),
                              p_inv=p_inv, gamma_shape=gamma_shape,
                              n_rate_cats=n_cats)
 

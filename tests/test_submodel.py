@@ -194,13 +194,28 @@ class TestGammaCategories:
 
 
 class TestModelObject:
-    def test_mu_must_match_frequencies(self):
-        with pytest.raises(ValueError):
-            SubstitutionModel(alphabet=("A", "B"), freqs=(0.5, 0.5), mu=3.0)
+    def test_mu_is_derived_from_frequencies(self):
+        model = SubstitutionModel(alphabet=("A", "B"), freqs=(0.5, 0.5))
+        assert model.mu == 2.0
+        assert model.with_p_inv(0.1).mu == 2.0
+
+    def test_payload_whose_mu_disagrees_is_rejected(self):
+        payload = random_freq_model(4, seed=20).to_dict()
+        with pytest.raises(ValueError, match="mu must be"):
+            SubstitutionModel.from_dict({**payload, "mu": 3.0})
+
+    def test_mu_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            SubstitutionModel(alphabet=("A", "B"), freqs=(0.5, 0.5), mu=2.0)
+
+    def test_built_model_mu_is_the_one_minus_homozygosity_inverse(self):
+        matrix = matrix_from_rows(["a", "b"], [list("KKRRS"), list("RRSKR")])
+        model = build_model(matrix)
+        assert model.mu == 1.0 / (1.0 - float(model.freqs @ model.freqs))
 
     def test_frequencies_must_sum_to_one(self):
         with pytest.raises(ValueError):
-            SubstitutionModel(alphabet=("A", "B"), freqs=(0.6, 0.5), mu=2.0)
+            SubstitutionModel(alphabet=("A", "B"), freqs=(0.6, 0.5))
 
     def test_dict_roundtrip(self):
         model = random_freq_model(4, seed=20, p_inv=0.06, gamma_shape=0.8,

@@ -163,7 +163,6 @@ def cmd_lrt(args) -> int:
         k=args.k,
         alpha=args.alpha,
         seed=args.seed,
-        random_restarts=args.restarts,
     )
     report = run_lrt(matrix, config, alphabet=wl.alphabet.classes)
     payload = {
@@ -230,7 +229,7 @@ def cmd_mltree(args) -> int:
         matrix = _load_matrix_file(args.matrix)
         inputs = [args.matrix]
         states = None
-    config = SearchConfig(seed=args.seed, random_restarts=args.restarts)
+    config = SearchConfig(seed=args.seed)
     if args.p_inv is not None:
         fit = ml_tree(
             matrix, args.p_inv, config,
@@ -318,7 +317,6 @@ def build_parser() -> _Parser:
     p.add_argument("--pa", type=float, default=0.06, help="alternative invariant proportion")
     p.add_argument("--k", type=int, default=15, help="paired search runs (default 15)")
     p.add_argument("--alpha", type=float, default=0.05, help="rejection level")
-    p.add_argument("--restarts", type=int, default=1, help="search restarts per fit")
     p.add_argument("--out", required=True, help="output JSON path")
     common(p)
     p.set_defaults(func=cmd_lrt)
@@ -346,7 +344,6 @@ def build_parser() -> _Parser:
         "--gamma2", action="store_true",
         help="add two discretized gamma rate categories",
     )
-    p.add_argument("--restarts", type=int, default=1, help="search restarts")
     p.add_argument("--out", required=True, help="output JSON path")
     p.add_argument("--save-matrix", help="also write the character matrix as alignment text")
     common(p)

@@ -23,9 +23,9 @@ import numpy as np
 
 from .bootsim import SimConfig, simulate_matrix
 from .errors import InsufficientDataError, RelateError
-from .mlsearch import MlFit, SearchConfig, ml_tree, start_trees
+from .mlsearch import MlFit, SearchConfig, init_tree, ml_tree
 from .msa import CharacterMatrix
-from .phylik import Phylogeny, write_newick
+from .phylik import write_newick
 from .submodel import build_model
 
 logger = logging.getLogger(__name__)
@@ -40,15 +40,15 @@ RUN_SEED_STRIDE = 10007
 
 @dataclass(frozen=True)
 class LrtConfig:
-    """Proportions under test, number of paired runs, seeding, and search
-    restarts per fit."""
+    """Proportions under test, number of paired runs, rejection level, and
+    the seed from which each run's search and replicate seeds derive; every
+    fit is one search from one neighbor-joining start."""
 
     p_inv_null: float = 0.01
     p_inv_alt: float = 0.06
     k: int = 15
     alpha: float = 0.05
     seed: int = 42
-    random_restarts: int = 1
 
     def __post_init__(self):
         if not 0.0 <= self.p_inv_null < self.p_inv_alt < 1.0:
@@ -60,8 +60,6 @@ class LrtConfig:
             raise ValueError("need at least 2 paired runs for the t-test")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.random_restarts < 1:
-            raise ValueError("random_restarts must be at least 1")
 
 
 def lrt_statistic(fit_alt: MlFit, fit_null: MlFit) -> float:
@@ -167,15 +165,6 @@ class LrtReport:
         }
 
 
-def _same_trees(one: list[Phylogeny], two: list[Phylogeny]) -> bool:
-    """Equal node ids, lengths and leaf names, pairwise: the searches
-    started from them take identical steps."""
-    return len(one) == len(two) and all(
-        a.adjacency == b.adjacency and a.leaf_names == b.leaf_names
-        for a, b in zip(one, two)
-    )
-
-
 def run_lrt(
     matrix: CharacterMatrix,
     config: LrtConfig = LrtConfig(),
@@ -185,7 +174,7 @@ def run_lrt(
 
     Run j reseeds the search with ``seed + j * RUN_SEED_STRIDE``, fits both
     proportions to the data (taking an earlier run's fits when its
-    neighbor-joining starts are the same, as the seed then changes
+    neighbor-joining start is the same, as the seed then changes
     nothing), simulates one replicate from the fitted null
     (keeping the data's gap pattern), fits both proportions to it, and
     records both statistics. The decision is RELATED when the one-sided
@@ -197,22 +186,22 @@ def run_lrt(
         raise InsufficientDataError("the test needs at least 3 taxa")
     # Start trees depend on the frequencies only, not on p_inv.
     freq_model = build_model(matrix, alphabet=alphabet)
-    data_fits: list[tuple[list[Phylogeny], tuple[MlFit, MlFit]]] = []
+    # Starts with equal node ids and lengths make identical searches; their
+    # leaf names are always matrix.taxa.
+    data_fits: list[tuple[dict, tuple[MlFit, MlFit]]] = []
     runs = []
     for j in range(1, config.k + 1):
         seed_j = config.seed + j * RUN_SEED_STRIDE
-        search_j = SearchConfig(seed=seed_j, random_restarts=config.random_restarts)
+        search_j = SearchConfig(seed=seed_j)
         try:
-            starts = start_trees(matrix, freq_model, search_j)
-            earlier = next(
-                (fits for trees, fits in data_fits if _same_trees(trees, starts)), None
-            )
+            start = init_tree(matrix, freq_model, seed_j).adjacency
+            earlier = next((fits for tree, fits in data_fits if tree == start), None)
             if earlier is not None:
                 fit_null, fit_alt = (replace(fit, tree=fit.tree.copy()) for fit in earlier)
             else:
                 fit_null = ml_tree(matrix, config.p_inv_null, search_j, alphabet=alphabet)
                 fit_alt = ml_tree(matrix, config.p_inv_alt, search_j, alphabet=alphabet)
-                data_fits.append((starts, (fit_null, fit_alt)))
+                data_fits.append((start, (fit_null, fit_alt)))
             delta_observed = lrt_statistic(fit_alt, fit_null)
 
             replicate = simulate_matrix(fit_null, matrix, SimConfig(seed=seed_j))

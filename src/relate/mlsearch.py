@@ -67,14 +67,10 @@ _GAMMA_CATS = 2
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Seeding and restarts of the heuristic search."""
+    """Seeding of the heuristic search: the seed breaks neighbor-joining
+    ties."""
 
     seed: int = 42
-    random_restarts: int = 1
-
-    def __post_init__(self):
-        if self.random_restarts < 1:
-            raise ValueError("random_restarts must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -194,17 +190,6 @@ def neighbor_joining(dist: np.ndarray, names, seed: int = 42) -> Phylogeny:
 def init_tree(matrix: CharacterMatrix, model: SubstitutionModel, seed: int = 42) -> Phylogeny:
     """Neighbor-joining starting tree on model-corrected distances."""
     return neighbor_joining(model_distances(matrix, model), matrix.taxa, seed)
-
-
-def start_trees(
-    matrix: CharacterMatrix, model: SubstitutionModel, config: SearchConfig
-) -> list[Phylogeny]:
-    """Starting trees of the ``random_restarts`` searches of :func:`ml_tree`;
-    tie-breaking seeds count up from ``config.seed``."""
-    return [
-        init_tree(matrix, model, seed=config.seed + restart)
-        for restart in range(config.random_restarts)
-    ]
 
 
 _SQRT_EPS = math.sqrt(2.2e-16)
@@ -496,12 +481,11 @@ def ml_tree(
 ) -> MlFit:
     """Fit a tree under a fixed ``p_inv`` (and optional gamma rates).
 
-    Runs ``random_restarts`` searches from neighbor-joining starts whose
-    tie-breaking seeds increase by one, and returns the best fit (first one
-    on ties). A two-taxon matrix gets a single-edge tree: its length is
-    optimized like any other, and there is no NNI move. The seed acts only
-    through the starts (see :func:`start_trees`): calls whose starts are
-    equal return equal fits.
+    One NNI search from the neighbor-joining start of :func:`init_tree`
+    with ``config.seed``. A two-taxon matrix gets a single-edge tree: its
+    length is optimized like any other, and there is no NNI move. The seed
+    acts only through the start, by breaking neighbor-joining ties: calls
+    whose starts are equal return equal fits.
     """
     if len(matrix.taxa) < 2:
         raise InsufficientDataError("tree inference needs at least 2 taxa")
@@ -512,13 +496,8 @@ def ml_tree(
         n_rate_cats=n_rate_cats,
         alphabet=alphabet,
     )
-    prep = prepare_sites(model, matrix)
-    best: MlFit | None = None
-    for start in start_trees(matrix, model, config):
-        fit = nni_search(start, model, prep)
-        if best is None or fit.log_likelihood > best.log_likelihood:
-            best = fit
-    return best
+    start = init_tree(matrix, model, seed=config.seed)
+    return nni_search(start, model, prepare_sites(model, matrix))
 
 
 def ml_tree_estimated(

@@ -27,7 +27,6 @@ one.
 from __future__ import annotations
 
 import math
-import random
 import re
 from dataclasses import dataclass
 
@@ -392,61 +391,6 @@ def write_newick(tree: Phylogeny) -> str:
         key=lambda pair: pair[1],
     )
     return "(" + ",".join(text for text, _ in parts) + ");"
-
-
-def random_tree(
-    labels,
-    seed: int = 42,
-    min_length: float = 0.05,
-    max_length: float = 0.5,
-) -> Phylogeny:
-    """Random binary topology over ``labels`` with uniform branch lengths.
-
-    Leaves are attached one at a time to a uniformly chosen existing edge;
-    the same seed always yields the same tree.
-    """
-    labels = list(labels)
-    if len(labels) < 2:
-        raise ValueError("need at least 2 labels")
-    if len(set(labels)) != len(labels):
-        raise ValueError("labels must be distinct")
-    rng = random.Random(seed)
-
-    def draw() -> float:
-        return rng.uniform(min_length, max_length)
-
-    leaf_names = {i: name for i, name in enumerate(labels)}
-    if len(labels) == 2:
-        length = draw()
-        return Phylogeny({0: {1: length}, 1: {0: length}}, leaf_names)
-
-    adjacency: dict[int, dict[int, float]] = {i: {} for i in range(len(labels))}
-    center = len(labels)
-    adjacency[center] = {}
-    for leaf in (0, 1, 2):
-        length = draw()
-        adjacency[center][leaf] = length
-        adjacency[leaf][center] = length
-    next_id = center + 1
-    for leaf in range(3, len(labels)):
-        edges = sorted(
-            (u, v) for u, nbrs in adjacency.items() for v in nbrs if u < v
-        )
-        u, v = edges[rng.randrange(len(edges))]
-        old = adjacency[u][v]
-        split = rng.random()
-        joint = next_id
-        next_id += 1
-        del adjacency[u][v], adjacency[v][u]
-        adjacency[joint] = {}
-        adjacency[u][joint] = old * split
-        adjacency[joint][u] = old * split
-        adjacency[joint][v] = old * (1 - split)
-        adjacency[v][joint] = old * (1 - split)
-        pendant = draw()
-        adjacency[joint][leaf] = pendant
-        adjacency[leaf][joint] = pendant
-    return Phylogeny(adjacency, leaf_names)
 
 
 # -- likelihood ------------------------------------------------------------

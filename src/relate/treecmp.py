@@ -22,9 +22,6 @@ from .phylik import Phylogeny, _topology_from_text
 
 logger = logging.getLogger(__name__)
 
-STAR = "STAR"
-_PAIRINGS = ("AB|CD", "AC|BD", "AD|BC")
-
 
 @dataclass(frozen=True)
 class GoldTree:
@@ -79,29 +76,6 @@ def _pair_sums(dist: np.ndarray, quartets: np.ndarray) -> np.ndarray:
         ),
         axis=1,
     )
-
-
-def quartet_topology(tree: Phylogeny | GoldTree, quartet) -> str:
-    """How the tree groups four leaves: a pairing label or ``STAR``.
-
-    Uses the four-point condition on edge-count distances: the pairing
-    whose within-pair path sum is strictly smallest is induced; no strict
-    minimum means the four paths meet at one hub.
-    """
-    quartet = tuple(quartet)
-    if len(set(quartet)) != 4:
-        raise ValueError(f"quartet needs 4 distinct leaves, got {quartet}")
-    names, dist = _leaf_distances(tree)
-    index = {name: i for i, name in enumerate(names)}
-    try:
-        ia, ib, ic, id_ = (index[name] for name in quartet)
-    except KeyError as exc:
-        raise TaxaMismatchError(f"leaf {exc} is not in the tree", missing={exc.args[0]}) from exc
-    sums = _pair_sums(dist, np.array([[ia, ib, ic, id_]]))[0]
-    smallest = sums.min()
-    if int(np.count_nonzero(sums == smallest)) != 1:
-        return STAR
-    return _PAIRINGS[int(sums.argmin())]
 
 
 @dataclass(frozen=True)

@@ -483,6 +483,22 @@ def quartet_by_paths(adjacency, leaf_of_name, quartet) -> str:
     return winners[0] if len(winners) == 1 else "STAR"
 
 
+def quartet_counts_by_paths(pred_adjacency, pred_names, gold_adjacency,
+                            gold_names) -> tuple[int, int]:
+    """(quartets the gold tree resolves, how many of them the predicted tree
+    does not resolve the same way), one :func:`quartet_by_paths` call per
+    quartet and tree. ``*_names`` map leaf node to name."""
+    pred_leaf = {name: node for node, name in pred_names.items()}
+    gold_leaf = {name: node for node, name in gold_names.items()}
+    resolved = differing = 0
+    for quartet in itertools.combinations(sorted(gold_leaf), 4):
+        gold = quartet_by_paths(gold_adjacency, gold_leaf, quartet)
+        if gold != "STAR":
+            resolved += 1
+            differing += quartet_by_paths(pred_adjacency, pred_leaf, quartet) != gold
+    return resolved, differing
+
+
 def quartets_from_bipartitions(adjacency, name_of_leaf) -> dict[frozenset, frozenset]:
     """Resolved quartets via edge bipartitions (independent second route).
 

@@ -21,6 +21,7 @@ import oracles
 from helpers import (
     leaf_symbol_map,
     random_freq_model,
+    random_tree,
     random_wordlist_rows,
     related_wordlist_rows,
     wordlist_text,
@@ -34,12 +35,11 @@ from relate.msa import CharacterMatrix, build_character_matrix
 from relate.permtest import WordMetric, run_permtest
 from relate.phylik import (
     parse_newick,
-    random_tree,
     site_log_likelihoods,
     write_newick,
 )
 from relate.submodel import transition_prob
-from relate.treecmp import gqd, parse_gold_tree, quartet_topology
+from relate.treecmp import gqd, parse_gold_tree
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 import gen  # noqa: E402
@@ -296,26 +296,9 @@ def test_quartet_scan_matches_path_oracle_for_every_size_up_to_twelve():
         else:
             gold = parse_gold_tree(_binary_newick(labels, seed=n + 100))
         score = gqd(pred, gold)
-        resolved = 0
-        differing = 0
-        for quartet in itertools.combinations(labels, 4):
-            got_pred = quartet_topology(pred, quartet)
-            got_gold = quartet_topology(gold, quartet)
-            assert got_pred == oracles.quartet_by_paths(
-                pred.adjacency, _leaf_of_name(pred), quartet
-            )
-            assert got_gold == oracles.quartet_by_paths(
-                gold.adjacency, _leaf_of_name(gold), quartet
-            )
-            if got_gold != "STAR":
-                resolved += 1
-                differing += got_pred != got_gold
-        assert score.resolved_gold == resolved
-        assert score.differing == differing
-
-
-def _leaf_of_name(tree):
-    return {name: node for node, name in tree.leaf_names.items()}
+        assert (score.resolved_gold, score.differing) == oracles.quartet_counts_by_paths(
+            pred.adjacency, pred.leaf_names, gold.adjacency, gold.leaf_names
+        )
 
 
 def _binary_newick(labels, seed: int) -> str:

@@ -94,20 +94,6 @@ class TestLrtCommand:
         assert rc == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
 
-    def test_restarts_reach_every_fit(self, tmp_path, wordlist_path, monkeypatch):
-        restarts = []
-        real = relate.lrt.ml_tree
-
-        def recording(matrix, p_inv, config, **kwargs):
-            restarts.append(config.random_restarts)
-            return real(matrix, p_inv, config, **kwargs)
-
-        monkeypatch.setattr(relate.lrt, "ml_tree", recording)
-        rc = main(["lrt", "--wordlist", wordlist_path, "--k", "2", "--restarts", "2",
-                   "--out", str(tmp_path / "r.json")])
-        assert rc == EXIT_OK
-        assert restarts and set(restarts) == {2}
-
     def test_underflow_in_a_run_exits_2(self, tmp_path, wordlist_path, monkeypatch, capsys):
         def underflow(*args, **kwargs):
             raise NumericalUnderflowError("site 3 has zero likelihood")
@@ -257,7 +243,7 @@ class TestMappingOption:
         merged = self.library_wordlist(wordlist_path, load_alphabet(MERGED_TABLE))
         matrix = build_character_matrix(merged)
         assert saved.read_text(encoding="utf-8") == matrix.to_alignment_text()
-        fit = ml_tree(matrix, 0.05, SearchConfig(seed=42, random_restarts=1),
+        fit = ml_tree(matrix, 0.05, SearchConfig(seed=42),
                       alphabet=merged.alphabet.classes)
         assert got["tree"] == write_newick(fit.tree)
         assert got["log_likelihood"] == fit.log_likelihood
@@ -336,6 +322,16 @@ class TestMltreeCommand:
         assert "error:" in capsys.readouterr().err
         rc = main(["mltree", "--out", str(tmp_path / "f.json")])
         assert rc == EXIT_INPUT
+
+    @pytest.mark.parametrize("command", ["mltree", "lrt"])
+    def test_restarts_option_is_a_usage_error(self, tmp_path, wordlist_path, capsys, command):
+        out = tmp_path / "f.json"
+        rc = main([command, "--wordlist", wordlist_path, "--restarts", "2", "--out", str(out)])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "usage" in err
+        assert "--restarts" in err
+        assert not out.exists()
 
 
 class TestSimulateCommand:

@@ -18,7 +18,7 @@ from relate.lrt import (
     run_lrt,
 )
 from relate import mlsearch
-from relate.mlsearch import SearchConfig, ml_tree, start_trees
+from relate.mlsearch import SearchConfig, init_tree, ml_tree
 from relate.msa import CharacterMatrix
 from relate.phylik import parse_newick, write_newick
 from relate.submodel import build_model
@@ -104,10 +104,6 @@ class TestLrtConfig:
             LrtConfig(alpha=0.0)
         with pytest.raises(ValueError):
             LrtConfig(alpha=1.0)
-
-    def test_restarts_domain(self):
-        with pytest.raises(ValueError, match="random_restarts"):
-            LrtConfig(random_restarts=0)
 
 
 class TestRunLrt:
@@ -196,10 +192,9 @@ class TestDataFitReuse:
         model = build_model(matrix)
         seen = []
         for run in range(1, self.config.k + 1):
-            search = SearchConfig(seed=self.config.seed + run * RUN_SEED_STRIDE)
-            trees = [t.adjacency for t in start_trees(matrix, model, search)]
-            if trees not in seen:
-                seen.append(trees)
+            tree = init_tree(matrix, model, self.config.seed + run * RUN_SEED_STRIDE)
+            if tree.adjacency not in seen:
+                seen.append(tree.adjacency)
         return len(seen)
 
     def test_matrix_without_nj_ties_is_fitted_once(self, monkeypatch):

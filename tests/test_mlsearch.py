@@ -5,7 +5,13 @@ import logging
 import numpy as np
 import pytest
 
-from helpers import matrix_from_rows, random_freq_model, random_matrix, small_matrix
+from helpers import (
+    matrix_from_rows,
+    random_freq_model,
+    random_matrix,
+    random_tree,
+    small_matrix,
+)
 from relate.bootsim import simulate_sites
 from relate import mlsearch, phylik
 from relate.msa import CharacterMatrix
@@ -25,7 +31,6 @@ from relate.phylik import (
     edge_log_likelihood_fn,
     parse_newick,
     prepare_sites,
-    random_tree,
     site_log_likelihoods,
     write_newick,
 )
@@ -509,15 +514,21 @@ class TestMlTree:
         assert write_newick(one.tree) == write_newick(two.tree)
         assert one.log_likelihood == two.log_likelihood
 
-    def test_restarts_return_the_best_run(self):
-        truth = parse_newick("((A:0.3,B:0.3):0.2,(C:0.3,D:0.3):0.2,E:0.5);")
-        model = random_freq_model(3, seed=3)
-        matrix = simulated_matrix(truth, model, 200, seed=9)
-        single_a = ml_tree(matrix, 0.05, SearchConfig(seed=6, random_restarts=1))
-        single_b = ml_tree(matrix, 0.05, SearchConfig(seed=7, random_restarts=1))
-        double = ml_tree(matrix, 0.05, SearchConfig(seed=6, random_restarts=2))
-        assert double.log_likelihood == pytest.approx(
-            max(single_a.log_likelihood, single_b.log_likelihood), abs=1e-9)
+    def test_one_search_from_the_seeded_start(self, monkeypatch):
+        matrix = small_matrix(seed=0)
+        seeds = []
+        real_init = mlsearch.init_tree
+
+        def recording(m, model, seed=42):
+            seeds.append(seed)
+            return real_init(m, model, seed)
+
+        monkeypatch.setattr(mlsearch, "init_tree", recording)
+        fit = ml_tree(matrix, 0.05, SearchConfig(seed=9))
+        assert seeds == [9]
+        alone = nni_search(real_init(matrix, fit.model, 9), fit.model, matrix)
+        assert write_newick(fit.tree) == write_newick(alone.tree)
+        assert fit.log_likelihood == alone.log_likelihood
 
     def test_fits_report_whether_their_searches_converged(self, monkeypatch, caplog):
         matrix = small_matrix()

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import leaf_symbol_map, matrix_from_rows, random_freq_model, random_matrix
+from helpers import (
+    leaf_symbol_map,
+    matrix_from_rows,
+    random_freq_model,
+    random_matrix,
+    random_tree,
+)
 from relate.errors import (
     NumericalUnderflowError,
     ParseError,
@@ -24,7 +30,6 @@ from relate.phylik import (
     edge_log_likelihood_fn,
     parse_newick,
     prepare_sites,
-    random_tree,
     site_log_likelihoods,
     write_newick,
 )

@@ -1,54 +1,45 @@
 """Quartet topology extraction and the generalized quartet distance."""
 
-import itertools
-
 import numpy as np
 import pytest
 
-from oracles import quartet_by_paths, quartets_from_bipartitions
+from helpers import random_tree
+from oracles import quartet_counts_by_paths, quartets_from_bipartitions
 from relate.errors import ParseError, TaxaMismatchError
-from relate.phylik import parse_newick, random_tree
-from relate.treecmp import STAR, GoldTree, gqd, parse_gold_tree, quartet_topology
+from relate.phylik import parse_newick
+from relate.treecmp import GoldTree, gqd, parse_gold_tree
 
 
 class TestQuartetTopology:
+    """Each quartet is resolved as the path-length oracle resolves it."""
+
     def test_caterpillar_groups_adjacent_pairs(self):
         tree = parse_newick("((A:1,B:1):1,(C:1,D:1):1);")
-        assert quartet_topology(tree, ("A", "B", "C", "D")) == "AB|CD"
-
-    def test_pairing_labels_are_positional(self):
-        tree = parse_newick("((A:1,C:1):1,(B:1,D:1):1);")
-        assert quartet_topology(tree, ("A", "B", "C", "D")) == "AC|BD"
-        assert quartet_topology(tree, ("A", "C", "B", "D")) == "AB|CD"
-
-    def test_star_tree_resolves_nothing(self):
-        gold = parse_gold_tree("(A,B,C,D);")
-        assert quartet_topology(gold, ("A", "B", "C", "D")) == STAR
+        assert gqd(tree, parse_gold_tree("((A,B),(C,D));")).differing == 0
+        for other in ("((A,C),(B,D));", "((A,D),(B,C));"):
+            score = gqd(tree, parse_gold_tree(other))
+            assert (score.resolved_gold, score.differing) == (1, 1)
 
     def test_five_leaf_tree_matches_path_length_oracle(self):
-        text = "((A:1,B:1):1,(C:1,D:1):1,E:1);"
-        tree = parse_newick(text)
-        gold = parse_gold_tree(text)
-        leaf_of_name = {name: node for node, name in gold.leaf_names.items()}
-        for quartet in itertools.combinations("ABCDE", 4):
-            expected = quartet_by_paths(gold.adjacency, leaf_of_name, quartet)
-            assert quartet_topology(tree, quartet) == expected
+        gold = parse_gold_tree("((A:1,B:1):1,(C:1,D:1):1,E:1);")
+        for seed in range(10):
+            pred = random_tree("ABCDE", seed=seed)
+            score = gqd(pred, gold)
+            assert (score.resolved_gold, score.differing) == quartet_counts_by_paths(
+                pred.adjacency, pred.leaf_names, gold.adjacency, gold.leaf_names)
 
     def test_rooted_and_reordered_newick_agree(self):
         one = parse_newick("((A:1,B:2):0.5,(C:1,D:1):1);")
         two = parse_newick("(((B:2,A:1):0.2,C:9):1,D:1);")
-        for quartet in [("A", "B", "C", "D"), ("D", "C", "B", "A")]:
-            assert quartet_topology(one, quartet) == quartet_topology(two, quartet)
-
-    def test_duplicate_leaves_are_rejected(self):
-        tree = parse_newick("((A:1,B:1):1,(C:1,D:1):1);")
-        with pytest.raises(ValueError):
-            quartet_topology(tree, ("A", "A", "B", "C"))
+        for pred, gold in ((one, two), (two, one)):
+            score = gqd(pred, gold)
+            assert (score.resolved_gold, score.differing) == (1, 0)
 
     def test_unknown_leaf_is_rejected(self):
         tree = parse_newick("((A:1,B:1):1,(C:1,D:1):1);")
-        with pytest.raises(TaxaMismatchError):
-            quartet_topology(tree, ("A", "B", "C", "X"))
+        with pytest.raises(TaxaMismatchError) as caught:
+            gqd(parse_newick("((A:1,B:1):1,(C:1,X:1):1);"), tree)
+        assert (caught.value.missing, caught.value.extra) == ({"D"}, {"X"})
 
 
 class TestGqd:

@@ -105,6 +105,10 @@ class TestLrtConfig:
         with pytest.raises(ValueError):
             LrtConfig(alpha=1.0)
 
+    def test_restarts_is_not_a_field(self):
+        with pytest.raises(TypeError):
+            LrtConfig(random_restarts=2)
+
 
 class TestRunLrt:
     def config(self, seed=42):

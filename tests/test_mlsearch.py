@@ -514,6 +514,11 @@ class TestMlTree:
         assert write_newick(one.tree) == write_newick(two.tree)
         assert one.log_likelihood == two.log_likelihood
 
+    def test_search_config_holds_only_the_seed(self):
+        assert SearchConfig(seed=3) == SearchConfig(3)
+        with pytest.raises(TypeError):
+            SearchConfig(seed=3, random_restarts=2)
+
     def test_one_search_from_the_seeded_start(self, monkeypatch):
         matrix = small_matrix(seed=0)
         seeds = []

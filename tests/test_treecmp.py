@@ -35,6 +35,20 @@ class TestQuartetTopology:
             score = gqd(pred, gold)
             assert (score.resolved_gold, score.differing) == (1, 0)
 
+    def test_star_tree_resolves_nothing(self):
+        star = parse_gold_tree("(A,B,C,D,E);")
+        binary = parse_newick("((A:1,B:1):1,(C:1,D:1):1,E:1);")
+        assert gqd(binary, star).resolved_gold == 0
+        score = gqd(star, binary)
+        assert (score.resolved_gold, score.differing) == (5, 5)
+        assert score.gqd == 1.0
+
+    def test_duplicate_leaves_are_rejected(self):
+        text = "((A:1,A:1):1,(B:1,C:1):1);"
+        for parse in (parse_newick, parse_gold_tree):
+            with pytest.raises(ParseError, match="duplicate leaf"):
+                parse(text)
+
     def test_unknown_leaf_is_rejected(self):
         tree = parse_newick("((A:1,B:1):1,(C:1,D:1):1);")
         with pytest.raises(TaxaMismatchError) as caught:

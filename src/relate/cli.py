@@ -24,6 +24,7 @@ from .lrt import LrtConfig, run_lrt
 from .mlsearch import MlFit, SearchConfig, ml_tree, ml_tree_estimated
 from .msa import CharacterMatrix, build_character_matrix
 from .permtest import (
+    DRAW_STREAM,
     WordMetric,
     load_external_table,
     pairwise_significance,
@@ -198,7 +199,10 @@ def cmd_permtest(args) -> int:
     # so a failure on either leaves no report behind.
     if args.pairwise:
         rows = pairwise_significance(metric, wl, n_perm=args.n_perm, seed=args.seed)
-        slim = json.dumps(_manifest(args, inputs, with_timestamp=False), sort_keys=True)
+        slim = json.dumps(
+            {**_manifest(args, inputs, with_timestamp=False), "draw_stream": DRAW_STREAM},
+            sort_keys=True,
+        )
         with open(args.pairwise, "w", encoding="utf-8") as fh:
             fh.write(f"# manifest: {slim}\n")
             fh.write("LANG_A\tLANG_B\tDIST\tS_HAT\tP\n")
@@ -209,7 +213,7 @@ def cmd_permtest(args) -> int:
                 )
     payload = {
         "schema": "relate/permtest/1",
-        "manifest": _manifest(args, inputs),
+        "manifest": {**_manifest(args, inputs), "draw_stream": DRAW_STREAM},
         "result": tree.to_dict(),
     }
     _write_json(args.out, payload)

@@ -21,6 +21,14 @@ each one alone.
 A row of the pairwise table is the root (and only) merge of that pair's
 two-language merge tree, drawn from the pair's own seed stream: with two
 languages the equal-rank null is the fixed-pair null.
+
+Each language draws its shuffles from its own child stream of the seed
+(``np.random.SeedSequence(seed).spawn``, one child per language in sorted
+order), so a seed gives the same results for any chunking of the
+replicates. This is draw stream ``DRAW_STREAM``; earlier versions drew
+every language from one generator, so p-values and ``s_hat`` for a given
+seed differ from theirs while everything computed on the observed
+arrangement is unchanged.
 """
 
 from __future__ import annotations
@@ -57,6 +65,10 @@ NOT_SUPPORTED = "NOT_SUPPORTED"
 #: Seed offset between pairwise-table cells, so each pair's permutation
 #: batch draws from its own stream.
 PAIR_SEED_STRIDE = 104729
+
+#: Version of the permutation draw stream, recorded in report manifests:
+#: 2 draws each language from its own child of the seed's SeedSequence.
+DRAW_STREAM = 2
 
 
 @dataclass(frozen=True)
@@ -152,9 +164,9 @@ class _Engine:
     Permutations shuffle the pointer arrays, never the caches. Slot arrays
     are stacked over replicates, shape (replicates, concepts), so one call
     draws or scores a whole chunk of replicates; ``observed`` holds the
-    observed arrangement as a batch of one. Every replicate is computed
-    with the same arithmetic as on its own, so a seed gives the same
-    results for any chunking.
+    observed arrangement as a batch of one. Each language draws from its
+    own stream, and every replicate is computed with the same arithmetic
+    as on its own, so a seed gives the same results for any chunking.
     """
 
     def __init__(self, metric: WordMetric, wl: Wordlist):
@@ -251,28 +263,24 @@ class _Engine:
         return 1.0 - np.count_nonzero(equal, axis=1) / n
 
     def permuted_slots(
-        self, languages, rng: np.random.Generator, replicates: int = 1
+        self, streams: Mapping[str, np.random.Generator], replicates: int = 1
     ) -> dict[str, np.ndarray]:
         """Shuffle each language's words across its attested slots.
 
-        Returns one row per replicate. Draws go replicate by replicate and,
-        within one, language by language in sorted order, so the stream
-        does not depend on how replicates are chunked. A language's
-        pointers over its attested slots are ``0..m-1``, so shuffling a
-        fresh ``0..m-1`` draws the same stream as shuffling the pointers.
+        ``streams`` maps each language to its generator. Returns one row
+        per replicate, drawn by one ``permuted`` call per language; that
+        draws the stream of shuffling the rows one after another, so a
+        language's draws do not depend on how replicates are chunked. A
+        language's pointers over its attested slots are ``0..m-1``, so
+        shuffling a fresh ``0..m-1`` shuffles the pointers.
         """
-        languages = sorted(languages)
-        draws = [
-            np.tile(np.arange(len(self.attested[language])), (replicates, 1))
-            for language in languages
-        ]
-        for r in range(replicates):
-            for rows in draws:
-                rng.shuffle(rows[r])
         out = {}
-        for language, rows in zip(languages, draws):
+        for language, rng in streams.items():
+            attested = self.attested[language]
+            rows = np.tile(np.arange(len(attested)), (replicates, 1))
+            rng.permuted(rows, axis=1, out=rows)
             pointers = np.full((replicates, len(self.concepts)), _NO_WORD, dtype=np.int64)
-            pointers[:, self.attested[language]] = rows
+            pointers[:, attested] = rows
             out[language] = pointers
         return out
 
@@ -459,9 +467,11 @@ def _tested_merges(
     statistics), each tested against the merge of equal rank in ``n_perm``
     replicates drawn from ``seed``.
 
-    Replicates are drawn, scored and clustered in chunks, all replicates
-    of a chunk at once, and a given seed gives the same draws and heights
-    as scoring and clustering one replicate at a time.
+    The k-th language draws from the k-th child of
+    ``SeedSequence(seed)``. Replicates are drawn, scored and clustered in
+    chunks, all replicates of a chunk at once, and a given seed gives the
+    same draws and heights as scoring and clustering one replicate at a
+    time.
     """
     if n_perm < 1:
         raise ValueError("need at least one permutation")
@@ -469,13 +479,15 @@ def _tested_merges(
         _pair_matrix(engine, languages, engine.observed)
     )
     observed = _named_merges(pairs[0], observed_heights[0], languages)
-    rng = np.random.default_rng(seed)
+    children = np.random.SeedSequence(seed).spawn(len(languages))
+    streams = {
+        language: np.random.default_rng(child)
+        for language, child in zip(languages, children)
+    }
     heights = []
     for count in _chunk_sizes(n_perm):
         # No chunk's slots are held while the next chunk is drawn.
-        bases = _pair_matrix(
-            engine, languages, engine.permuted_slots(languages, rng, count)
-        )
+        bases = _pair_matrix(engine, languages, engine.permuted_slots(streams, count))
         heights.append(_cluster_stack(bases)[1])
     heights = np.concatenate(heights)
     merges = []
@@ -534,7 +546,8 @@ def pairwise_significance(
     tree: ``DIST`` is the mean word distance over the concepts both
     languages attest, and ``S_HAT`` and ``P`` compare it with shuffles of
     that pair alone. The k-th pair draws from ``seed + k *
-    PAIR_SEED_STRIDE``.
+    PAIR_SEED_STRIDE``, split into one child stream per language of the
+    pair as for any merge tree.
     """
     if len(wl.languages) < 2:
         raise InsufficientDataError("pairwise statistics need at least 2 languages")

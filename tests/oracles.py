@@ -594,9 +594,19 @@ def word_distance(metric: str, a, b) -> float:
     return 0.0 if tuple(a[:k]) == tuple(b[:k]) else 1.0
 
 
-def _reference_shuffle(slots, languages, rng):
+def reference_streams(languages, seed):
+    """One generator per language, the children of ``SeedSequence(seed)``
+    taken in sorted language order."""
+    languages = sorted(languages)
+    children = np.random.SeedSequence(seed).spawn(len(languages))
+    return {lang: np.random.default_rng(child) for lang, child in zip(languages, children)}
+
+
+def reference_shuffle(slots, streams):
+    """One replicate: each language's words permuted across its attested
+    slots by its own generator."""
     out = {}
-    for language in sorted(languages):
+    for language, rng in streams.items():
         pointers = slots[language].copy()
         attested = np.nonzero(pointers >= 0)[0]
         pointers[attested] = rng.permutation(pointers[attested])
@@ -622,10 +632,10 @@ def _reference_statistics(draws, observed):
 def reference_significance(slots, tables, a, b, n_perm, seed, complement):
     """Observed distance of a and b and (s_hat, p, expected, degenerate)."""
     observed = reference_language_distance(tables, a, b, slots, complement)
-    rng = np.random.default_rng(seed)
+    streams = reference_streams([a, b], seed)
     draws = np.empty(n_perm)
     for r in range(n_perm):
-        shuffled = _reference_shuffle(slots, [a, b], rng)
+        shuffled = reference_shuffle(slots, streams)
         draws[r] = reference_language_distance(tables, a, b, shuffled, complement)
     return observed, _reference_statistics(draws, observed)
 
@@ -680,10 +690,10 @@ def reference_merge_tree(slots, tables, n_perm, seed, complement=False):
     languages = sorted(slots)
     observed = reference_agglomerate(
         _reference_pair_matrix(tables, languages, slots, complement), languages)
-    rng = np.random.default_rng(seed)
+    streams = reference_streams(languages, seed)
     heights = np.empty((n_perm, len(observed)))
     for r in range(n_perm):
-        shuffled = _reference_shuffle(slots, languages, rng)
+        shuffled = reference_shuffle(slots, streams)
         stages = reference_agglomerate(
             _reference_pair_matrix(tables, languages, shuffled, complement),
             languages)

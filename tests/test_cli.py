@@ -15,7 +15,7 @@ from relate.errors import NumericalUnderflowError, SchemaError
 from relate.lexdata import filter_forms, parse_wordlist, select_core_form
 from relate.mlsearch import SearchConfig, ml_tree
 from relate.msa import CharacterMatrix, build_character_matrix
-from relate.permtest import WordMetric, pairwise_significance, run_permtest
+from relate.permtest import DRAW_STREAM, WordMetric, pairwise_significance, run_permtest
 from relate.phylik import write_newick
 from relate.soundclass import load_alphabet
 
@@ -120,6 +120,10 @@ class TestPermtestCommand:
         lines = pairwise.read_text(encoding="utf-8").splitlines()
         assert lines[0].startswith("# manifest: ")
         assert "created_utc" not in lines[0]
+        # Both manifests name the permutation draw stream; it is no option.
+        slim = json.loads(lines[0].removeprefix("# manifest: "))
+        assert payload["manifest"]["draw_stream"] == slim["draw_stream"] == DRAW_STREAM == 2
+        assert "draw_stream" not in slim["config"]
         assert lines[1] == "LANG_A\tLANG_B\tDIST\tS_HAT\tP"
         assert len(lines) == 2 + 6
         stdout = capsys.readouterr().out

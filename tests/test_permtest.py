@@ -9,10 +9,13 @@ from oracles import (
     reference_language_distance,
     reference_merge_tree,
     reference_pairwise,
+    reference_shuffle,
     reference_significance,
+    reference_streams,
     upgma_merge_heights,
     word_distance,
 )
+from relate import permtest
 from relate.errors import (
     DistanceUndefinedError,
     EmptyInputError,
@@ -612,7 +615,7 @@ class TestChunkedReplicatesMatchOneAtATime:
         metric = three_metrics(wl)[metric_no]
         slots, tables, complement = oracle_inputs(metric, wl)
         engine = _Engine(metric, wl)
-        stacked = engine.permuted_slots(wl.languages, np.random.default_rng(1), _CHUNK)
+        stacked = engine.permuted_slots(reference_streams(wl.languages, 1), _CHUNK)
         for i, a in enumerate(wl.languages):
             for b in wl.languages[i + 1:]:
                 assert np.count_nonzero((slots[a] >= 0) & (slots[b] >= 0)) >= 9
@@ -623,6 +626,34 @@ class TestChunkedReplicatesMatchOneAtATime:
                     for r in range(_CHUNK)
                 ]
                 assert got.tolist() == want
+
+    def test_stacked_draws_match_each_replicate(self):
+        # One permuted call per language draws what permuting each
+        # replicate's attested pointers on its own would.
+        wl = gapped_wordlist()
+        slots, _, _ = oracle_inputs(WordMetric.p1_dolgo(), wl)
+        engine = _Engine(WordMetric.p1_dolgo(), wl)
+        stacked = engine.permuted_slots(reference_streams(wl.languages, 3), _CHUNK)
+        streams = reference_streams(wl.languages, 3)
+        for r in range(_CHUNK):
+            want = reference_shuffle(slots, streams)
+            for lang in wl.languages:
+                assert np.where(stacked[lang][r] < 0, -1, stacked[lang][r]).tolist() == (
+                    want[lang].tolist())
+
+    @pytest.mark.parametrize("metric_no", range(3))
+    def test_results_do_not_depend_on_the_chunk_size(self, metric_no, monkeypatch):
+        wl = gapped_wordlist()
+        metric = three_metrics(wl)[metric_no]
+        n_perm = _CHUNK + 5
+        results = []
+        for size in (1, 3, 128):
+            monkeypatch.setattr(permtest, "_CHUNK", size)
+            results.append((
+                run_permtest(metric, wl, n_perm=n_perm, seed=12).to_dict(),
+                pairwise_significance(metric, wl, n_perm=n_perm, seed=12),
+            ))
+        assert results[0] == results[1] == results[2]
 
     @pytest.mark.parametrize("metric", [WordMetric.p1_dolgo(), WordMetric.turchin()])
     def test_exact_ties(self, metric):

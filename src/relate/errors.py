@@ -34,15 +34,16 @@ class ParseError(RelateError):
 
 
 def read_text(source: IO | bytes | str, what: str) -> str:
-    """The text of a text or byte stream, raw bytes, or a string. Bytes
-    that are not valid UTF-8 raise :class:`ParseError` naming ``what``."""
+    """The text of a text or byte stream, raw bytes, or a string, without
+    a leading byte order mark. Bytes that are not valid UTF-8 raise
+    :class:`ParseError` naming ``what``."""
     raw = source if isinstance(source, (bytes, str)) else source.read()
     if isinstance(raw, bytes):
         try:
-            return raw.decode("utf-8")
+            raw = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"{what} is not valid UTF-8: {exc}") from exc
-    return raw
+    return raw.removeprefix("\ufeff")
 
 
 class SchemaError(RelateError):

@@ -139,8 +139,9 @@ def parse_wordlist(source: IO | bytes | str, alphabet=None) -> Wordlist:
 
     LANGUAGE, CONCEPT and FORM columns are required; SEGMENTS (space
     separated), LOAN (0/1), TAG (comma separated flag names) and CORE_RANK
-    (non-negative integer) are honored when present. Exact duplicate rows
-    are dropped silently. Raises :class:`SchemaError` for missing columns,
+    (non-negative integer) are honored when present. Fields are read
+    verbatim, quote characters included. Exact duplicate rows are dropped
+    silently. Raises :class:`SchemaError` for missing columns,
     :class:`ParseError` (with a line number) for malformed rows, and
     :class:`EmptyInputError` for an input with no data rows.
     """
@@ -151,7 +152,7 @@ def parse_wordlist(source: IO | bytes | str, alphabet=None) -> Wordlist:
     if not lines:
         raise EmptyInputError("wordlist is empty")
 
-    rows = list(csv.reader(lines, delimiter="\t"))
+    rows = list(csv.reader(lines, delimiter="\t", quoting=csv.QUOTE_NONE))
     header = read_header(rows[0], "wordlist")
     required = [LANGUAGE_COL, CONCEPT_COL, FORM_COL]
     missing = [col for col in required if col not in header]

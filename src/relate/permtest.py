@@ -19,16 +19,20 @@ every replicate at a time, with the same merges and heights as clustering
 each one alone.
 
 A row of the pairwise table is the root (and only) merge of that pair's
-two-language merge tree, drawn from the pair's own seed stream: with two
-languages the equal-rank null is the fixed-pair null.
+two-language merge tree: with two languages the equal-rank null is the
+fixed-pair null.
 
-Each language draws its shuffles from its own child stream of the seed
-(``np.random.SeedSequence(seed).spawn``, one child per language in sorted
-order), so a seed gives the same results for any chunking of the
-replicates. This is draw stream ``DRAW_STREAM``; earlier versions drew
-every language from one generator, so p-values and ``s_hat`` for a given
-seed differ from theirs while everything computed on the observed
-arrangement is unchanged.
+Each language draws its shuffles from its own stream, keyed by the seed
+and the language's name (``np.random.SeedSequence(seed, spawn_key=...)``
+with the UTF-8 bytes of the name as the key). A language's shuffles
+therefore depend neither on the other languages of the wordlist nor on
+how replicates are chunked, so the pairwise table reads every row from
+the replicates of the merge tree, and each row equals the root of the
+wordlist cut to that pair at the same seed. This is draw stream
+``DRAW_STREAM``; earlier streams drew from positional children of the
+seed or from one generator, so p-values and ``s_hat`` for a given seed
+differ from theirs while everything computed on the observed arrangement
+is unchanged.
 """
 
 from __future__ import annotations
@@ -62,13 +66,9 @@ EXTERNAL = "EXTERNAL"
 RELATED = "RELATED"
 NOT_SUPPORTED = "NOT_SUPPORTED"
 
-#: Seed offset between pairwise-table cells, so each pair's permutation
-#: batch draws from its own stream.
-PAIR_SEED_STRIDE = 104729
-
 #: Version of the permutation draw stream, recorded in report manifests:
-#: 2 draws each language from its own child of the seed's SeedSequence.
-DRAW_STREAM = 2
+#: 3 draws each language from a stream keyed by the seed and its name.
+DRAW_STREAM = 3
 
 
 @dataclass(frozen=True)
@@ -104,12 +104,13 @@ def load_external_table(source: IO | bytes | str) -> dict[tuple[str, str, str, s
 
     Columns LANG_A, WORD_A, LANG_B, WORD_B, DIST. Both orientations of each
     pair are stored so lookups need not worry about order. A pair may come
-    back in either orientation only with the same DIST.
+    back in either orientation only with the same DIST. Fields are read
+    verbatim, quote characters included.
     """
     text = read_text(source, "distance table")
     if not text.strip():
         raise EmptyInputError("distance table is empty")
-    reader = csv.reader(io.StringIO(text), delimiter="\t")
+    reader = csv.reader(io.StringIO(text), delimiter="\t", quoting=csv.QUOTE_NONE)
     header = read_header(next(reader), "distance table")
     required = ["LANG_A", "WORD_A", "LANG_B", "WORD_B", "DIST"]
     if any(col not in header for col in required):
@@ -165,8 +166,9 @@ class _Engine:
     are stacked over replicates, shape (replicates, concepts), so one call
     draws or scores a whole chunk of replicates; ``observed`` holds the
     observed arrangement as a batch of one. Each language draws from its
-    own stream, and every replicate is computed with the same arithmetic
-    as on its own, so a seed gives the same results for any chunking.
+    own stream, keyed by its name, and every replicate is computed with the
+    same arithmetic as on its own, so a seed gives the same results for any
+    chunking and any other languages in the wordlist.
     """
 
     def __init__(self, metric: WordMetric, wl: Wordlist):
@@ -288,21 +290,22 @@ class _Engine:
 class PermutationResult(NamedTuple):
     s_hat: float
     p_value: float
-    expected_distance: float
     degenerate: bool
 
 
-def _summary(draws: np.ndarray, observed: float) -> PermutationResult:
-    """Statistics of an observed distance against its permuted ``draws``:
-    the relative drop below their mean and the add-one p-value."""
+def _summary(draws: np.ndarray, observed: float, left, right) -> PermutationResult:
+    """Statistics of the observed distance of ``left`` and ``right``
+    against its permuted ``draws``: the relative drop below their mean and
+    the add-one p-value."""
     expected = float(draws.mean())
     p_value = (int(np.count_nonzero(draws <= observed)) + 1) / (len(draws) + 1)
     degenerate = expected == 0.0
+    if degenerate:
+        logger.warning("all permuted distances of %r vs %r are zero", left, right)
     s_hat = 0.0 if degenerate else (expected - observed) / expected
     return PermutationResult(
         s_hat=float(s_hat),
         p_value=float(p_value),
-        expected_distance=expected,
         degenerate=degenerate,
     )
 
@@ -460,48 +463,25 @@ def _named_merges(
     return stages
 
 
-def _tested_merges(
-    engine: _Engine, languages: list[str], n_perm: int, seed: int
-) -> list[tuple[tuple[str, ...], tuple[str, ...], float, PermutationResult]]:
-    """The merges of ``languages`` (sorted) as (left, right, height,
-    statistics), each tested against the merge of equal rank in ``n_perm``
-    replicates drawn from ``seed``.
+def _replicate_distances(engine: _Engine, languages: list[str], n_perm: int, seed: int):
+    """Language distance matrices of ``n_perm`` replicates drawn from
+    ``seed``, one (replicates, languages, languages) stack per chunk.
 
-    The k-th language draws from the k-th child of
-    ``SeedSequence(seed)``. Replicates are drawn, scored and clustered in
-    chunks, all replicates of a chunk at once, and a given seed gives the
-    same draws and heights as scoring and clustering one replicate at a
-    time.
+    Each language draws from the stream keyed by the seed and the UTF-8
+    bytes of its name. A given seed gives the same draws and distances as
+    drawing and scoring one replicate at a time.
     """
     if n_perm < 1:
         raise ValueError("need at least one permutation")
-    pairs, observed_heights = _cluster_stack(
-        _pair_matrix(engine, languages, engine.observed)
-    )
-    observed = _named_merges(pairs[0], observed_heights[0], languages)
-    children = np.random.SeedSequence(seed).spawn(len(languages))
     streams = {
-        language: np.random.default_rng(child)
-        for language, child in zip(languages, children)
+        language: np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=tuple(language.encode("utf-8")))
+        )
+        for language in languages
     }
-    heights = []
     for count in _chunk_sizes(n_perm):
         # No chunk's slots are held while the next chunk is drawn.
-        bases = _pair_matrix(engine, languages, engine.permuted_slots(streams, count))
-        heights.append(_cluster_stack(bases)[1])
-    heights = np.concatenate(heights)
-    merges = []
-    for k, (left, right, distance) in enumerate(observed):
-        result = _summary(heights[:, k], distance)
-        if result.degenerate:
-            logger.warning(
-                "all permuted merge heights are zero at rank %d (%r vs %r)",
-                k,
-                left,
-                right,
-            )
-        merges.append((left, right, distance, result))
-    return merges
+        yield _pair_matrix(engine, languages, engine.permuted_slots(streams, count))
 
 
 def run_permtest(
@@ -524,14 +504,21 @@ def run_permtest(
     """
     if len(wl.languages) < 2:
         raise InsufficientDataError("clustering needs at least 2 languages")
-    merges = _tested_merges(_Engine(metric, wl), sorted(wl.languages), n_perm, seed)
-    return MergeTree(
-        languages=wl.languages,
-        merges=tuple(
+    engine = _Engine(metric, wl)
+    languages = sorted(wl.languages)
+    pairs, heights = _cluster_stack(_pair_matrix(engine, languages, engine.observed))
+    observed = _named_merges(pairs[0], heights[0], languages)
+    draws = np.concatenate([
+        _cluster_stack(bases)[1]
+        for bases in _replicate_distances(engine, languages, n_perm, seed)
+    ])
+    merges = []
+    for k, (left, right, distance) in enumerate(observed):
+        result = _summary(draws[:, k], distance, left, right)
+        merges.append(
             Merge(left, right, distance, result.s_hat, result.p_value, result.degenerate)
-            for left, right, distance, result in merges
-        ),
-    )
+        )
+    return MergeTree(languages=wl.languages, merges=tuple(merges))
 
 
 def pairwise_significance(
@@ -544,30 +531,36 @@ def pairwise_significance(
 
     A pair's row is the single merge of that pair's two-language merge
     tree: ``DIST`` is the mean word distance over the concepts both
-    languages attest, and ``S_HAT`` and ``P`` compare it with shuffles of
-    that pair alone. The k-th pair draws from ``seed + k *
-    PAIR_SEED_STRIDE``, split into one child stream per language of the
-    pair as for any merge tree.
+    languages attest, and ``S_HAT`` and ``P`` compare it with the pair's
+    distance in each replicate. Every row reads the replicates that
+    ``run_permtest`` clusters at the same seed, and a language's draws do
+    not depend on the other languages, so a row equals the root of the
+    wordlist cut to its pair.
     """
     if len(wl.languages) < 2:
         raise InsufficientDataError("pairwise statistics need at least 2 languages")
     engine = _Engine(metric, wl)
+    languages = sorted(wl.languages)
+    index = {language: k for k, language in enumerate(languages)}
+    pairs = [(a, b) for i, a in enumerate(wl.languages) for b in wl.languages[i + 1 :]]
+    rows_at = [index[a] for a, _ in pairs]
+    cols_at = [index[b] for _, b in pairs]
+    observed = _pair_matrix(engine, languages, engine.observed)[0, rows_at, cols_at].tolist()
+    draws = np.concatenate([
+        bases[:, rows_at, cols_at]
+        for bases in _replicate_distances(engine, languages, n_perm, seed)
+    ])
     rows = []
-    pair_no = 0
-    for i, lang_a in enumerate(wl.languages):
-        for lang_b in wl.languages[i + 1 :]:
-            pair_no += 1
-            pair_seed = seed + pair_no * PAIR_SEED_STRIDE
-            [(_, _, distance, result)] = _tested_merges(
-                engine, sorted((lang_a, lang_b)), n_perm, pair_seed
-            )
-            rows.append(
-                {
-                    "LANG_A": lang_a,
-                    "LANG_B": lang_b,
-                    "DIST": distance,
-                    "S_HAT": result.s_hat,
-                    "P": result.p_value,
-                }
-            )
+    for k, (lang_a, lang_b) in enumerate(pairs):
+        # A contiguous column is summed as the two-language tree sums it.
+        result = _summary(np.ascontiguousarray(draws[:, k]), observed[k], lang_a, lang_b)
+        rows.append(
+            {
+                "LANG_A": lang_a,
+                "LANG_B": lang_b,
+                "DIST": observed[k],
+                "S_HAT": result.s_hat,
+                "P": result.p_value,
+            }
+        )
     return rows

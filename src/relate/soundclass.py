@@ -124,14 +124,15 @@ def load_alphabet(source: IO | bytes | str) -> ClassAlphabet:
     """Read a segment table from TSV with columns SEGMENT and CLASS.
 
     ``source`` may be a text or byte stream, raw bytes, or a string of TSV
-    content. Class symbols must be one of the ten consonant classes or the
-    vowel marker ``V``. Classes are ordered canonically when they are a
-    subset of the default ten, alphabetically otherwise.
+    content; fields are read verbatim, quote characters included. Class
+    symbols must be one of the ten consonant classes or the vowel marker
+    ``V``. Classes are ordered canonically when they are a subset of the
+    default ten, alphabetically otherwise.
     """
     text = read_text(source, "segment table")
     if not text.strip():
         raise EmptyInputError("segment table is empty")
-    reader = csv.reader(io.StringIO(text), delimiter="\t")
+    reader = csv.reader(io.StringIO(text), delimiter="\t", quoting=csv.QUOTE_NONE)
     header = read_header(next(reader), "segment table")
     try:
         seg_col = header.index("SEGMENT")

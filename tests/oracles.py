@@ -595,11 +595,13 @@ def word_distance(metric: str, a, b) -> float:
 
 
 def reference_streams(languages, seed):
-    """One generator per language, the children of ``SeedSequence(seed)``
-    taken in sorted language order."""
-    languages = sorted(languages)
-    children = np.random.SeedSequence(seed).spawn(len(languages))
-    return {lang: np.random.default_rng(child) for lang, child in zip(languages, children)}
+    """One generator per language, keyed by the seed and the UTF-8 bytes of
+    the language's name."""
+    return {
+        lang: np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=tuple(lang.encode("utf-8"))))
+        for lang in languages
+    }
 
 
 def reference_shuffle(slots, streams):
@@ -640,15 +642,20 @@ def reference_significance(slots, tables, a, b, n_perm, seed, complement):
     return observed, _reference_statistics(draws, observed)
 
 
-def reference_pairwise(slots, tables, languages, n_perm, seed, stride,
-                       complement=False):
+def reference_pairwise(slots, tables, languages, n_perm, seed, complement=False):
     """(a, b, observed, s_hat, p) for every pair in ``languages`` order,
-    the k-th pair drawing from seed ``seed + k * stride``."""
-    rows = []
+    every pair read from the same replicates of all languages."""
     pairs = [(a, b) for i, a in enumerate(languages) for b in languages[i + 1:]]
-    for k, (a, b) in enumerate(pairs, start=1):
-        observed, (s_hat, p_value, _, _) = reference_significance(
-            slots, tables, a, b, n_perm, seed + k * stride, complement)
+    streams = reference_streams(languages, seed)
+    draws = np.empty((len(pairs), n_perm))
+    for r in range(n_perm):
+        shuffled = reference_shuffle(slots, streams)
+        for k, (a, b) in enumerate(pairs):
+            draws[k, r] = reference_language_distance(tables, a, b, shuffled, complement)
+    rows = []
+    for k, (a, b) in enumerate(pairs):
+        observed = reference_language_distance(tables, a, b, slots, complement)
+        s_hat, p_value, _, _ = _reference_statistics(draws[k], observed)
         rows.append((a, b, observed, s_hat, p_value))
     return rows
 

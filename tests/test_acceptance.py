@@ -32,7 +32,7 @@ from relate.lexdata import FilterPolicy, filter_forms, parse_wordlist, select_co
 from relate.lrt import RELATED, LrtConfig, paired_t_test, run_lrt
 from relate.mlsearch import SearchConfig, ml_tree
 from relate.msa import CharacterMatrix, build_character_matrix
-from relate.permtest import WordMetric, run_permtest
+from relate.permtest import WordMetric, pairwise_significance, run_permtest
 from relate.phylik import (
     parse_newick,
     site_log_likelihoods,
@@ -244,6 +244,18 @@ def test_permutation_root_p_is_calibrated_on_random_wordlists():
         wl = parse_wordlist(wordlist_text(rows))
         tree = run_permtest(WordMetric.p1_dolgo(), wl, n_perm=200, seed=trial)
         hits += tree.root.p_value < 0.05
+    assert 0.01 <= hits / 100 <= 0.12
+
+
+def test_permutation_pair_row_p_is_calibrated_on_random_wordlists():
+    # The rows of one wordlist share their replicates, so each wordlist
+    # gives one row: its first pair in wordlist order.
+    hits = 0
+    for trial in range(100):
+        rows = random_wordlist_rows(8, 100, seed=5000 + trial)
+        wl = parse_wordlist(wordlist_text(rows))
+        first = pairwise_significance(WordMetric.p1_dolgo(), wl, n_perm=200, seed=trial)[0]
+        hits += first["P"] < 0.05
     assert 0.01 <= hits / 100 <= 0.12
 
 

@@ -131,6 +131,36 @@ def test_repeated_blank_column_is_ignored():
     assert wl.entries[0].form == "cornu"
 
 
+def test_quote_characters_are_part_of_a_wordlist_field():
+    # An opening quote does not swallow the rows after it.
+    wl = parse_wordlist('LANGUAGE\tCONCEPT\tFORM\nA\thand\t"ka\nA\tfoot\tpo\nB\thand\tki\n')
+    assert [e.form for e in wl.entries] == ['"ka', "po", "ki"]
+    assert parse_wordlist('LANGUAGE\tCONCEPT\tFORM\nA\thand\t"ka"\n').entries[0].form == '"ka"'
+
+
+def test_quote_characters_are_part_of_a_distance_table_field():
+    table = load_external_table(
+        'LANG_A\tWORD_A\tLANG_B\tWORD_B\tDIST\nA\t"ka\tB\tko\t0.5\nA\tpa\tB\tko\t0.25\n')
+    assert table[("A", '"ka', "B", "ko")] == 0.5
+    assert table[("A", "pa", "B", "ko")] == 0.25
+
+
+def test_quote_characters_are_part_of_a_segment_table_field():
+    alphabet = load_alphabet('SEGMENT\tCLASS\n"k\tK\nt\tT\n')
+    assert alphabet.segment_map == {'"k': "K", "t": "T"}
+
+
+@pytest.mark.parametrize("reader, text", [
+    (parse_wordlist, "LANGUAGE\tCONCEPT\tFORM\nLatin\thorn\tcornu\n"),
+    (load_external_table, "LANG_A\tWORD_A\tLANG_B\tWORD_B\tDIST\nA\tka\tB\tko\t0.5\n"),
+    (load_alphabet, "SEGMENT\tCLASS\nk\tK\nt\tT\n"),
+], ids=["wordlist", "distance-table", "segment-table"])
+@pytest.mark.parametrize("as_bytes", [False, True], ids=["str", "bytes"])
+def test_leading_byte_order_mark_is_dropped(reader, text, as_bytes):
+    marked = "\ufeff" + text
+    assert reader(marked.encode("utf-8") if as_bytes else marked) == reader(text)
+
+
 def make_wordlist(*entries: LexEntry) -> Wordlist:
     languages = tuple(dict.fromkeys(e.language for e in entries))
     concepts = tuple(dict.fromkeys(e.concept for e in entries))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import related_wordlist_rows, wordlist_text
+from helpers import random_wordlist_rows, related_wordlist_rows, wordlist_text
 from oracles import (
     reference_agglomerate,
     reference_language_distance,
@@ -28,7 +28,6 @@ from relate.lexdata import Wordlist, parse_wordlist
 from relate.permtest import (
     EXTERNAL,
     NOT_SUPPORTED,
-    PAIR_SEED_STRIDE,
     RELATED,
     TURCHIN,
     WordMetric,
@@ -37,24 +36,19 @@ from relate.permtest import (
     _Engine,
     load_external_table,
     _named_merges,
-    _tested_merges,
     pairwise_significance,
     run_permtest,
 )
 from relate.soundclass import default_alphabet, encode_form
 
 
-def pair_merge(metric, wl, lang_a, lang_b, n_perm, seed):
-    """The single merge of the two-language merge tree of a pair, as
-    ``pairwise_significance`` computes it for each pair: (left, right,
-    distance, statistics)."""
-    [merge] = _tested_merges(_Engine(metric, wl), sorted((lang_a, lang_b)), n_perm, seed)
-    return merge
-
-
-def pair_significance(metric, wl, lang_a, lang_b, n_perm, seed):
-    """Statistics of one language pair against ``n_perm`` permutations."""
-    return pair_merge(metric, wl, lang_a, lang_b, n_perm, seed)[3]
+def pair_root(metric, wl, lang_a, lang_b, n_perm, seed):
+    """The root of a pair's two-language merge tree, the merge that the
+    pair's row of the pairwise table reports: ``wl`` cut to the pair, with
+    every concept kept in its order."""
+    cut = Wordlist(languages=(lang_a, lang_b), concepts=wl.concepts,
+                   entries=tuple(e for e in wl.entries if e.language in (lang_a, lang_b)))
+    return run_permtest(metric, cut, n_perm, seed).root
 
 
 def pair_distances(metric, wl):
@@ -232,27 +226,30 @@ class TestPermutationSignificance:
         rows = [("A", f"c{i}", "ka") for i in range(6)]
         rows += [("B", f"c{i}", "pa") for i in range(6)]
         wl = make_wordlist(*rows)
-        result = pair_significance(
+        result = pair_root(
             WordMetric.p1_dolgo(), wl, "A", "B", n_perm=50, seed=1)
         assert result.s_hat == 0.0
         assert result.p_value == 1.0
         assert not result.degenerate
 
-    def test_all_zero_distances_are_flagged_degenerate(self):
+    def test_all_zero_distances_are_flagged_degenerate(self, caplog):
         rows = [("A", f"c{i}", "ka") for i in range(6)]
         rows += [("B", f"c{i}", "ko") for i in range(6)]
         wl = make_wordlist(*rows)
-        result = pair_significance(
+        result = pair_root(
             WordMetric.p1_dolgo(), wl, "A", "B", n_perm=50, seed=1)
         assert result.degenerate
         assert result.s_hat == 0.0
-        assert result.expected_distance == 0.0
+        assert result.p_value == 1.0
+        [row] = pairwise_significance(WordMetric.p1_dolgo(), wl, n_perm=50, seed=1)
+        assert (row["S_HAT"], row["P"]) == (0.0, 1.0)
+        assert "all permuted distances of 'A' vs 'B' are zero" in caplog.text
 
     def test_strong_signal_is_detected(self):
         rows = related_wordlist_rows(4, 40, seed=3, mutation=0.1)
         wl = parse_wordlist(wordlist_text(rows))
         langs = sorted(wl.languages)
-        result = pair_significance(
+        result = pair_root(
             WordMetric.p1_dolgo(), wl, langs[0], langs[1], n_perm=200, seed=5)
         assert result.p_value < 0.05
         assert result.s_hat > 0.0
@@ -262,15 +259,15 @@ class TestPermutationSignificance:
         wl = parse_wordlist(wordlist_text(rows))
         langs = sorted(wl.languages)
         args = (WordMetric.turchin(), wl, langs[0], langs[1])
-        one = pair_significance(*args, n_perm=99, seed=7)
-        two = pair_significance(*args, n_perm=99, seed=7)
+        one = pair_root(*args, n_perm=99, seed=7)
+        two = pair_root(*args, n_perm=99, seed=7)
         assert one == two
 
     def test_p_value_uses_the_add_one_estimator(self):
         rows = related_wordlist_rows(2, 15, seed=6, mutation=0.2)
         wl = parse_wordlist(wordlist_text(rows))
         langs = sorted(wl.languages)
-        result = pair_significance(
+        result = pair_root(
             WordMetric.p1_dolgo(), wl, langs[0], langs[1], n_perm=99, seed=2)
         assert 1 / 100 <= result.p_value <= 1.0
         assert (result.p_value * 100) == pytest.approx(round(result.p_value * 100))
@@ -590,8 +587,7 @@ class TestChunkedReplicatesMatchOneAtATime:
         slots, tables, complement = oracle_inputs(metric, wl)
         rows = pairwise_significance(metric, wl, n_perm=n_perm, seed=4)
         got = [(r["LANG_A"], r["LANG_B"], r["DIST"], r["S_HAT"], r["P"]) for r in rows]
-        assert got == reference_pairwise(
-            slots, tables, wl.languages, n_perm, 4, PAIR_SEED_STRIDE, complement)
+        assert got == reference_pairwise(slots, tables, wl.languages, n_perm, 4, complement)
 
     @pytest.mark.parametrize("metric_no", range(3))
     def test_language_pair(self, metric_no):
@@ -599,11 +595,11 @@ class TestChunkedReplicatesMatchOneAtATime:
         metric = three_metrics(wl)[metric_no]
         slots, tables, complement = oracle_inputs(metric, wl)
         langs = sorted(wl.languages)
-        _, _, distance, result = pair_merge(
-            metric, wl, langs[3], langs[0], n_perm=_CHUNK + 1, seed=8)
-        observed, stats = reference_significance(
+        root = pair_root(metric, wl, langs[3], langs[0], n_perm=_CHUNK + 1, seed=8)
+        observed, (s_hat, p_value, _, degenerate) = reference_significance(
             slots, tables, langs[3], langs[0], _CHUNK + 1, 8, complement)
-        assert (distance, tuple(result)) == (observed, stats)
+        assert (root.distance, root.s_hat, root.p_value, root.degenerate) == (
+            observed, s_hat, p_value, degenerate)
 
     @pytest.mark.parametrize("metric_no", range(3))
     def test_stacked_distances_match_each_replicate(self, metric_no):
@@ -701,19 +697,35 @@ class TestPairRowIsTwoLanguageMergeTree:
     @pytest.mark.parametrize("metric_no", range(3))
     def test_rows_equal_root_of_pair_wordlist(self, metric_no):
         # Cutting the wordlist to a pair leaves each language's attested
-        # slots, and so the draws and distances, as they were.
+        # slots, and so the draws and distances at the same seed, as they
+        # were.
         wl = gapped_wordlist()
         metric = three_metrics(wl)[metric_no]
         rows = pairwise_significance(metric, wl, n_perm=_CHUNK + 2, seed=6)
         pairs = [(a, b) for i, a in enumerate(wl.languages) for b in wl.languages[i + 1:]]
         assert [(r["LANG_A"], r["LANG_B"]) for r in rows] == pairs
-        for k, (row, (a, b)) in enumerate(zip(rows, pairs), start=1):
-            cut = Wordlist(languages=(a, b), concepts=wl.concepts,
-                           entries=tuple(e for e in wl.entries if e.language in (a, b)))
-            root = run_permtest(metric, cut, n_perm=_CHUNK + 2,
-                                seed=6 + k * PAIR_SEED_STRIDE).root
+        for row, (a, b) in zip(rows, pairs):
+            root = pair_root(metric, wl, a, b, n_perm=_CHUNK + 2, seed=6)
             assert (row["DIST"], row["S_HAT"], row["P"]) == (
                 root.distance, root.s_hat, root.p_value)
+
+    @pytest.mark.parametrize("metric_no", range(3))
+    def test_rows_do_not_depend_on_other_languages(self, metric_no):
+        # The extra language sorts before all others and comes last in the
+        # wordlist, so the concept order stays as it was; every row of the
+        # smaller wordlist comes back unchanged.
+        wl = gapped_wordlist()
+        extra = [("A0", concept, form)
+                 for _, concept, form in random_wordlist_rows(1, 24, seed=31, missing=0.2)]
+        wider = make_wordlist(*[(e.language, e.concept, e.form) for e in wl.entries], *extra)
+        assert wider.concepts == wl.concepts
+        metric = three_metrics(wider)[metric_no]
+        rows = pairwise_significance(metric, wl, n_perm=_CHUNK + 2, seed=6)
+        wider_rows = {(r["LANG_A"], r["LANG_B"]): r
+                      for r in pairwise_significance(metric, wider, n_perm=_CHUNK + 2, seed=6)}
+        assert len(wider_rows) == len(rows) + len(wl.languages)
+        for row in rows:
+            assert wider_rows[row["LANG_A"], row["LANG_B"]] == row
 
 
 class TestMergeHeights:

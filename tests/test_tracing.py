@@ -64,8 +64,8 @@ def traced_layers(run) -> dict:
 def test_permutation_counters_count_draw_and_distance_calls():
     # Three languages make three pairs, and _CHUNK + 1 replicates make two
     # chunks. The merge tree draws once per chunk and scores every pair
-    # once on the observed slots and once per chunk; each pairwise cell
-    # does the same for its own pair.
+    # once on the observed slots and once per chunk; the pairwise table
+    # reads every cell from the same draws and distances.
     wl = parse_wordlist(wordlist_text(related_wordlist_rows(3, 12, seed=1, mutation=0.3)))
     metric = permtest.WordMetric.p1_dolgo()
     n_perm = permtest._CHUNK + 1
@@ -73,5 +73,5 @@ def test_permutation_counters_count_draw_and_distance_calls():
     assert tree["permtest.replicates"][1] == 2
     assert tree["permtest.pair_distance_calls"][1] == 3 * (1 + 2)
     pairs = traced_layers(lambda: permtest.pairwise_significance(metric, wl, n_perm=n_perm))
-    assert pairs["permtest.replicates"][1] == 3 * 2
+    assert pairs["permtest.replicates"][1] == 2
     assert pairs["permtest.pair_distance_calls"][1] == 3 * (1 + 2)

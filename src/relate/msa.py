@@ -5,16 +5,20 @@ The scores are fixed: a match scores ``MATCH`` (2), a mismatch
 costs the same per symbol however long it is. In a profile column a gap
 against a symbol also scores -2 and a gap against a gap 0.
 
-Each concept's words are aligned progressively. The guide tree comes from
-average linkage on pairwise distances, whose scores are computed
-score-only for all word pairs of the concept at once: one dynamic program
-over padded integer codes, vectorised across pairs, each pair's score read
-at its own corner. Profiles are then merged bottom-up with a traced
-dynamic program, and the per-concept alignments are concatenated into one
-character matrix whose columns are the sites of the phylogenetic model.
-All tie-breaking is fixed (diagonal over up over left in the dynamic
-program, lowest index pair in the guide tree) so the output is a pure
-function of the input.
+Each concept's words are aligned progressively: the guide tree comes from
+average linkage on pairwise distances, and profiles are merged bottom-up
+along it. All concepts of a wordlist are aligned in one batched pass over
+padded arrays, each stage run once for all of them: one score-only dynamic
+program over every word pair of every concept, one stacked linkage loop,
+and for each merge step one traced dynamic program over that step's merge
+in every concept. A profile is carried as per-column counts of symbol
+codes; a column pair's total score is an integer sum, exact in any order,
+divided once by the number of row pairs. Padding never reaches a real
+cell, so a concept aligns as it would alone. The per-concept alignments
+are concatenated into one character matrix whose columns are the sites of
+the phylogenetic model. All tie-breaking is fixed (diagonal over up over
+left in the dynamic program, lowest index pair in the guide tree) so the
+output is a pure function of the input.
 """
 
 from __future__ import annotations
@@ -40,125 +44,6 @@ MATCH = 2.0
 MISMATCH = -1.0
 GAP_SCORE = -2.0
 
-_NEG_INF = float("-inf")
-
-
-def _gotoh(
-    n_a: int, n_b: int, table: list[list[float]]
-) -> tuple[list[tuple[int | None, int | None]], float]:
-    """Optimal alignment of two column sequences given by length, where
-    ``table[i][j]`` scores column i of A against column j of B and every
-    gap symbol scores ``GAP_SCORE``.
-
-    Returns the aligned column pairs (``None`` marks a gap) and the optimal
-    score. This is Gotoh's three-state program (M pairs two columns, X
-    consumes an A column against a gap, Y a B column against a gap) with
-    gap opening equal to extension, so each state at a cell is the best
-    value H of one neighbouring cell plus one score. Rounding is monotone,
-    so max(fl(a + g), fl(b + g)) = fl(max(a, b) + g), and one value per
-    cell holds all three states. The traceback recomputes the states from H
-    and keeps the three-state tie rule, M over X over Y, which makes it
-    prefer diagonal, then up, then left: after a diagonal move the states
-    are compared as they are, after a gap move each plus the gap score.
-    """
-    # Nested lists: reading and writing numpy scalars cell by cell costs more
-    # than the arithmetic.
-    h = [[0.0] * (n_b + 1) for _ in range(n_a + 1)]
-    for j in range(1, n_b + 1):
-        h[0][j] = h[0][j - 1] + GAP_SCORE
-    for i in range(1, n_a + 1):
-        up, row, scores = h[i - 1], h[i], table[i - 1]
-        row[0] = left = up[0] + GAP_SCORE
-        for j in range(1, n_b + 1):
-            best = up[j - 1] + scores[j - 1]
-            if up[j] + GAP_SCORE > best:
-                best = up[j] + GAP_SCORE
-            if left + GAP_SCORE > best:
-                best = left + GAP_SCORE
-            row[j] = left = best
-
-    # shift is the gap score after a gap move and 0.0 otherwise.
-    pairs: list[tuple[int | None, int | None]] = []
-    i, j, shift = n_a, n_b, 0.0
-    while i > 0 or j > 0:
-        m = h[i - 1][j - 1] + table[i - 1][j - 1] + shift if i and j else _NEG_INF
-        x = h[i - 1][j] + GAP_SCORE + shift if i else _NEG_INF
-        y = h[i][j - 1] + GAP_SCORE + shift if j else _NEG_INF
-        if m >= x and m >= y:
-            pairs.append((i - 1, j - 1))
-            i, j, shift = i - 1, j - 1, 0.0
-        elif x >= y:
-            pairs.append((i - 1, None))
-            i, shift = i - 1, GAP_SCORE
-        else:
-            pairs.append((None, j - 1))
-            j, shift = j - 1, GAP_SCORE
-    pairs.reverse()
-    return pairs, h[n_a][n_b]
-
-
-def pairwise_align(
-    a: ClassSequence, b: ClassSequence
-) -> tuple[ClassSequence, ClassSequence, float]:
-    """Optimal alignment of two encoded words.
-
-    Returns gap-padded versions of ``a`` and ``b`` and the score.
-    """
-    table = [[MATCH if x == y else MISMATCH for y in b] for x in a]
-    pairs, score = _gotoh(len(a), len(b), table)
-    out_a = tuple(GAP if i is None else a[i] for i, _ in pairs)
-    out_b = tuple(GAP if j is None else b[j] for _, j in pairs)
-    return out_a, out_b, score
-
-
-def _pair_scores(words: Sequence[np.ndarray]) -> np.ndarray:
-    """Optimal alignment scores of every word pair (a, b), a < b, in
-    ``np.triu_indices`` order; ``words`` are integer-coded.
-
-    One score-only dynamic program runs for all pairs at once over the words
-    padded to the longest one, and each pair's score is read at its own
-    (len_a, len_b) corner. A cell depends only on cells above and to its left,
-    so padding never reaches a corner, and each cell takes the maximum of the
-    same sums as :func:`_gotoh`: the scores equal :func:`pairwise_align`'s.
-    """
-    lengths = np.array([len(w) for w in words])
-    width = int(lengths.max())
-    codes = np.full((len(words), width), -1)
-    for r, word in enumerate(words):
-        codes[r, : len(word)] = word
-    ia, ib = np.triu_indices(len(words), 1)
-    len_a, len_b = lengths[ia], lengths[ib]
-    codes_a, codes_b = codes[ia].T, codes[ib].T
-    scores = np.empty(len(ia))
-
-    # One row of the dynamic program, indexed [j, pair].
-    row = np.empty((width + 1, len(ia)))
-    row[0] = 0.0
-    for j in range(1, width + 1):
-        row[j] = row[j - 1] + GAP_SCORE
-    for i in range(width + 1):
-        if i > 0:
-            column = np.where(codes_a[i - 1] == codes_b, MATCH, MISMATCH)
-            new = np.empty_like(row)
-            new[0] = row[0] + GAP_SCORE
-            new[1:] = np.maximum(row[:-1] + column, row[1:] + GAP_SCORE)
-            for j in range(1, width + 1):
-                new[j] = np.maximum(new[j], new[j - 1] + GAP_SCORE)
-            row = new
-        ends = np.flatnonzero(len_a == i)
-        scores[ends] = row[len_b[ends], ends]
-    return scores
-
-
-def _guide_distances(words: Sequence[np.ndarray]) -> np.ndarray:
-    """Symmetric distance matrix ``1 - score / (MATCH * longer length)``."""
-    lengths = np.array([len(w) for w in words])
-    ia, ib = np.triu_indices(len(words), 1)
-    limit = MATCH * np.maximum(lengths[ia], lengths[ib])
-    dist = np.zeros((len(words), len(words)))
-    dist[ia, ib] = dist[ib, ia] = 1.0 - _pair_scores(words) / limit
-    return dist
-
 
 def _symbol_scores(n_codes: int) -> np.ndarray:
     """Score of every pair of symbol codes in a profile column, code 0 = gap."""
@@ -169,43 +54,266 @@ def _symbol_scores(n_codes: int) -> np.ndarray:
     return table
 
 
-def _column_scores(
-    rows_a: np.ndarray, rows_b: np.ndarray, symbol_scores: np.ndarray
+def _pair_scores(
+    codes_a: np.ndarray, codes_b: np.ndarray, len_a: np.ndarray, len_b: np.ndarray
 ) -> np.ndarray:
-    """Mean symbol score of every column pair of two integer-coded profiles.
+    """Optimal alignment score of every word pair, column p of ``codes_a``
+    against column p of ``codes_b``: integer-coded words, indexed
+    [position, pair] and padded.
 
-    The row pairs are summed one by one from 0.0, row of A outer, so every
-    mean is rounded as a plain loop over the pairs rounds it.
+    One score-only dynamic program runs for all pairs at once, and each
+    pair's score is read at its own (len_a, len_b) corner. A cell depends
+    only on cells above and to its left, so padding never reaches a corner.
     """
-    (r_a, n_a), (r_b, n_b) = rows_a.shape, rows_b.shape
-    terms = np.zeros((r_a * r_b + 1, n_a, n_b))
-    terms[1:] = symbol_scores[
-        rows_a[:, None, :, None], rows_b[None, :, None, :]
-    ].reshape(r_a * r_b, n_a, n_b)
-    return np.add.accumulate(terms, axis=0)[-1] / (r_a * r_b)
+    # The scores are integers within 2 (len_a + len_b) + 2 of zero, so the
+    # program runs on the smallest integer type that holds them.
+    dtype = np.min_scalar_type(-2 * (len(codes_a) + len(codes_b)) - 2).type
+    gap, match, mismatch = dtype(GAP_SCORE), dtype(MATCH), dtype(MISMATCH)
+    # One row of the dynamic program, indexed [j, pair].
+    steps = gap * np.arange(len(codes_b) + 1, dtype=dtype)
+    row = np.repeat(steps[:, None], codes_b.shape[1], axis=1)
+    scores = np.empty(codes_b.shape[1], dtype=dtype)
+    for i in range(len(codes_a) + 1):
+        if i > 0:
+            new = np.where(codes_a[i - 1] == codes_b, match, mismatch)
+            new += row[:-1]
+            np.maximum(new, row[1:] + gap, out=new)
+            row[0] += gap
+            row[1:] = new
+            for j in range(1, len(row)):
+                np.maximum(row[j], row[j - 1] + gap, out=row[j])
+        ends = np.flatnonzero(len_a == i)
+        scores[ends] = row[len_b[ends], ends]
+    return scores
 
 
-def _merge_profiles(
-    rows_a: np.ndarray, rows_b: np.ndarray, symbol_scores: np.ndarray
-) -> np.ndarray:
-    """Align two integer-coded profiles (code 0 = gap) column against column.
+def _linkage_orders(dist: np.ndarray) -> np.ndarray:
+    """Average-linkage merge orders of a stack of distance matrices.
 
-    A column pair is scored by the mean pairwise symbol score over all row
-    combinations, ``symbol_scores[x, y]`` per symbol pair (a match 2, a
-    mismatch -1, a gap against a symbol -2, two gaps 0). A new gap column
-    scores ``GAP_SCORE`` (-2) unscaled, the score of a gap against a symbol,
-    which keeps it on the same footing as the averaged column scores.
+    ``dist[c]`` holds the distances of concept c's words, with ``inf`` on
+    the diagonal and in the padding; it is overwritten. Returns (i, j)
+    cluster-index pairs, i < j, shape (concepts, steps, 2); the merged
+    cluster takes index i. A concept of k words is done after k - 1 steps;
+    its later pairs are meaningless. Ties go to the lowest (i, j) pair: in
+    a symmetric matrix the first minimum in row-major order lies above the
+    diagonal.
     """
-    (r_a, n_a), (r_b, n_b) = rows_a.shape, rows_b.shape
-    table = _column_scores(rows_a, rows_b, symbol_scores).tolist()
-    pairs, _ = _gotoh(n_a, n_b, table)
-    merged = np.zeros((r_a + r_b, len(pairs)), dtype=rows_a.dtype)
-    for c, (i, j) in enumerate(pairs):
-        if i is not None:
-            merged[:r_a, c] = rows_a[:, i]
-        if j is not None:
-            merged[r_a:, c] = rows_b[:, j]
-    return merged
+    n_concepts, n = dist.shape[:2]
+    rows = np.arange(n_concepts)
+    sizes = np.ones((n_concepts, n), dtype=np.int64)
+    order = np.zeros((n_concepts, max(n - 1, 0), 2), dtype=np.int64)
+    for step in range(n - 1):
+        i, j = np.divmod(dist.reshape(n_concepts, -1).argmin(axis=1), n)
+        order[:, step, 0], order[:, step, 1] = i, j
+        # Retired and own entries are inf and stay inf, also in a concept
+        # that is done.
+        size_i, size_j = sizes[rows, i][:, None], sizes[rows, j][:, None]
+        merged = (size_i * dist[rows, i] + size_j * dist[rows, j]) / (size_i + size_j)
+        dist[rows, i] = dist[rows, :, i] = merged
+        dist[rows, j] = dist[rows, :, j] = np.inf
+        # A concept that is done finds its minimum, inf, at (0, 0); its
+        # sizes stay as they are.
+        sizes[rows, i] += np.where(i < j, size_j[:, 0], 0)
+    return order
+
+
+def _column_scores(counts_a: np.ndarray, counts_b: np.ndarray) -> np.ndarray:
+    """Mean symbol score of every column pair of two stacks of profiles
+    given by their column counts (batch, columns, codes).
+
+    A column pair's total over its row pairs is an integer, exact in any
+    order of summation, and is divided once by the number of row pairs, so
+    every mean is rounded as a plain loop over the pairs rounds it.
+    """
+    totals = counts_a @ _symbol_scores(counts_a.shape[2]) @ counts_b.transpose(0, 2, 1)
+    # Every column of a profile counts each of its rows once.
+    rows_a, rows_b = counts_a[:, :1].sum(axis=2), counts_b[:, :1].sum(axis=2)
+    return totals / (rows_a[:, :, None] * rows_b[:, None, :])
+
+
+def _merge(
+    counts_a: np.ndarray, counts_b: np.ndarray, n_a: np.ndarray, n_b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Align profile A against profile B, column against column, in every
+    batch element; the profiles are column counts padded past their
+    ``n_a`` and ``n_b`` columns. Returns the merged column of every column
+    of A (``columns[0]``) and of B (``columns[1]``), the merged widths and
+    the optimal scores.
+
+    A column pair scores its mean symbol score. A new gap column scores
+    ``GAP_SCORE`` (-2) unscaled, the score of a gap against a symbol, which
+    keeps it on the same footing as the averaged column scores.
+
+    This is Gotoh's three-state program (M pairs two columns, X consumes an
+    A column against a gap, Y a B column against a gap) with gap opening
+    equal to extension, so each state at a cell is the best value H of one
+    neighbouring cell plus one score. Rounding is monotone, so
+    max(fl(a + g), fl(b + g)) = fl(max(a, b) + g), and one value per cell
+    holds all three states. H is filled one anti-diagonal at a time for the
+    whole batch; a cell depends only on cells above and to its left, so
+    padding never reaches a real cell. The states are then recomputed from
+    H, and the traceback walks every element back at once with the
+    three-state tie rule, M over X over Y, which makes it prefer diagonal,
+    then up, then left: after a diagonal move the states are compared as
+    they are, after a gap move each plus the gap score.
+    """
+    batch, na, nb = len(counts_a), counts_a.shape[1], counts_b.shape[1]
+    # Arrays are indexed [..., element], so a slice of cells is contiguous.
+    # score[i, j] scores column i - 1 of A against column j - 1 of B,
+    # indexed like the cell its diagonal move enters.
+    score = np.zeros((na + 1, nb + 1, batch))
+    score[1:, 1:] = _column_scores(counts_a, counts_b).transpose(1, 2, 0)
+    # h[d, i] is H at cell (i, d - i), so each anti-diagonal is a row;
+    # skew holds the scores likewise.
+    diagonal, row = np.ogrid[: na + nb + 1, : na + 1]
+    skew = score[row, np.clip(diagonal - row, 0, nb)]
+    h = np.empty((na + nb + 1, na + 1, batch))
+    h[: nb + 1, 0] = GAP_SCORE * np.arange(nb + 1)[:, None]
+    h[np.arange(na + 1), np.arange(na + 1)] = GAP_SCORE * np.arange(na + 1)[:, None]
+    for d in range(2, na + nb + 1):
+        lo, hi = max(1, d - nb), min(na, d - 1) + 1
+        gapped = h[d - 1, lo - 1 : hi] + GAP_SCORE
+        cells = h[d, lo:hi]
+        np.add(h[d - 2, lo - 1 : hi - 1], skew[d, lo:hi], out=cells)
+        np.maximum(cells, np.maximum(gapped[:-1], gapped[1:]), out=cells)
+    del skew
+    cell_i, cell_j = np.ix_(np.arange(na + 1), np.arange(nb + 1))
+    h = h[cell_i + cell_j, cell_i]
+
+    # The M, X and Y states at every cell, -inf where a move would leave
+    # the table, give the move out of every cell after a diagonal move
+    # (states as they are) and after a gap move (each plus the gap score):
+    # 0 diagonal, 1 up, 2 left, and 3 at the origin, where the path ends.
+    m, x, y = np.full((3, na + 1, nb + 1, batch), -np.inf)
+    m[1:, 1:] = h[:-1, :-1] + score[1:, 1:]
+    x[1:] = h[:-1] + GAP_SCORE
+    y[:, 1:] = h[:, :-1] + GAP_SCORE
+    moves = np.empty((2, na + 1, nb + 1, batch), dtype=np.int8)
+    for move, shift in zip(moves, (0.0, GAP_SCORE)):
+        for state in (m, x, y):
+            state += shift
+        move[...] = 2
+        move[x >= y] = 1
+        move[m >= np.maximum(x, y)] = 0
+    moves[:, 0, 0] = 3
+
+    rows = np.arange(batch)
+    i, j, after_gap = np.array(n_a), np.array(n_b), np.zeros(batch, dtype=np.int64)
+    path = np.full((na + nb, batch), 3, dtype=np.int8)
+    at = np.zeros((2, na + nb, batch), dtype=np.int64)
+    for step in range(na + nb):
+        if not (i | j).any():
+            break
+        move = path[step] = moves[after_gap, i, j, rows]
+        at[:, step] = i, j
+        i, j = i - (move < 2), j - (move % 2 == 0)
+        after_gap = np.minimum(move, 1)
+    # Backward step s of a path of width w emits merged column w - 1 - s.
+    width = np.count_nonzero(path != 3, axis=0)
+    columns = np.zeros((2, batch, max(na, nb)), dtype=np.int64)
+    for side, takes in enumerate((path < 2, path % 2 == 0)):
+        s, r = np.nonzero(takes)
+        columns[side, r, at[side, s, r] - 1] = width[r] - 1 - s
+    return columns, width, h[n_a, n_b, rows]
+
+
+def _guide_distances(codes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Distances ``1 - score / (MATCH * longer length)`` of every word pair
+    of every concept, shaped as :func:`_linkage_orders` takes them;
+    ``codes`` and ``lengths`` are as in :func:`_align`. Small integer types
+    keep the arrays over all pairs small."""
+    n_concepts, n = lengths.shape
+    small = np.min_scalar_type(max(n, n_concepts, codes.shape[2]))
+    lengths = lengths.astype(small)
+    ia, ib = np.triu_indices(n, 1)
+    concept, pair = np.nonzero(ib < np.count_nonzero(lengths, axis=1)[:, None])
+    a, b, concept = ia[pair].astype(small), ib[pair].astype(small), concept.astype(small)
+    del pair
+    len_a, len_b = lengths[concept, a], lengths[concept, b]
+    by_position = codes.transpose(2, 0, 1)
+    scores = _pair_scores(
+        by_position[:, concept, a], by_position[:, concept, b], len_a, len_b
+    )
+    # 1 - score / (MATCH * longer length), computed in place.
+    values = MATCH * np.maximum(len_a, len_b)
+    np.divide(scores, values, out=values)
+    np.subtract(1.0, values, out=values)
+    dist = np.full((n_concepts, n, n), np.inf)
+    dist[concept, a, b] = dist[concept, b, a] = values
+    return dist
+
+
+def _align(codes: np.ndarray, n_codes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Progressive alignment of every concept of a batch at once.
+
+    ``codes[c, w]`` is word w of concept c, coded by ``1..n_codes - 1`` and
+    padded with 0; each concept's words come first, at least one, and none
+    is empty. Returns the alignment width of every concept and the aligned
+    column of every symbol, shaped like ``codes``.
+    """
+    lengths = np.count_nonzero(codes, axis=2)
+    n_words = np.count_nonzero(lengths, axis=1)
+    n_concepts, n = lengths.shape
+
+    order = _linkage_orders(_guide_distances(codes, lengths))
+
+    # Every symbol points at its column in its cluster's profile; merge
+    # step s of every concept that has one runs as one batch.
+    column = np.where(codes > 0, np.arange(codes.shape[2]), 0)
+    cluster = np.tile(np.arange(n), (n_concepts, 1))
+    width = lengths.copy()
+    for step in range(n - 1):
+        concept = np.flatnonzero(n_words > step + 1)
+        i, j = order[concept, step].T
+        side = np.where(cluster[concept] == i[:, None], 0, -1)
+        side[cluster[concept] == j[:, None]] = 1
+        n_a, n_b = width[concept, i], width[concept, j]
+        # Column counts of the two profiles of every merge, code 0 counting
+        # gaps, from the words of its two clusters.
+        element, w = np.nonzero(side >= 0)
+        owner, word_side = concept[element], side[element, w]
+        profile = word_side * len(concept) + element
+        symbols = codes[owner, w]
+        shape = (2, len(concept), max(n_a.max(), n_b.max()), n_codes)
+        index = (profile[:, None] * shape[2] + column[owner, w]) * n_codes + symbols
+        counts = np.bincount(index[symbols > 0], minlength=np.prod(shape))
+        counts = counts.reshape(shape).astype(float)
+        members = np.bincount(profile, minlength=2 * len(concept)).reshape(2, -1, 1)
+        counts[..., 0] = members - counts.sum(axis=3)
+        columns, width[concept, i], _ = _merge(
+            counts[0, :, : n_a.max()], counts[1, :, : n_b.max()], n_a, n_b
+        )
+        current = column[owner, w]
+        column[owner, w] = columns[word_side[:, None], element[:, None], current]
+        cluster[owner, w] = i[element]
+    return width[:, 0], column
+
+
+def _place(symbols: ClassSequence, columns, width: int) -> ClassSequence:
+    """A gap row of ``width`` with ``symbols`` at their aligned columns."""
+    row = [GAP] * width
+    for symbol, c in zip(symbols, columns):
+        row[c] = symbol
+    return tuple(row)
+
+
+def pairwise_align(
+    a: ClassSequence, b: ClassSequence
+) -> tuple[ClassSequence, ClassSequence, float]:
+    """Optimal alignment of two encoded words, each a one-row profile.
+
+    Returns gap-padded versions of ``a`` and ``b`` and the score.
+    """
+    code = {s: n for n, s in enumerate(dict.fromkeys(a + b), start=1)}
+    one_hot = np.eye(len(code) + 1)
+    columns, width, score = _merge(
+        one_hot[[code[s] for s in a]][None],
+        one_hot[[code[s] for s in b]][None],
+        np.array([len(a)]),
+        np.array([len(b)]),
+    )
+    rows = (_place(w, columns[side, 0], width[0]) for side, w in enumerate((a, b)))
+    return *rows, float(score[0])
 
 
 @dataclass(frozen=True)
@@ -224,74 +332,50 @@ class ConceptAlignment:
                 raise SchemaError("ragged alignment rows")
 
 
-def _average_linkage_order(dist: np.ndarray) -> list[tuple[int, int]]:
-    """Merge order of average-linkage clustering on a symmetric distance
-    matrix.
-
-    Returns (i, j) cluster-index pairs, i < j; the merged cluster takes index
-    i. Ties go to the lowest (i, j) pair: in a symmetric matrix the first
-    minimum in row-major order lies above the diagonal.
-    """
-    n = dist.shape[0]
-    d = np.array(dist, dtype=float)
-    np.fill_diagonal(d, np.inf)
-    sizes = [1] * n
-    merges = []
-    for _ in range(n - 1):
-        i, j = divmod(int(np.argmin(d)), n)
-        merges.append((i, j))
-        # Retired and own entries are inf and stay inf.
-        merged = (sizes[i] * d[i] + sizes[j] * d[j]) / (sizes[i] + sizes[j])
-        d[i] = d[:, i] = merged
-        d[j] = d[:, j] = np.inf
-        sizes[i] += sizes[j]
-    return merges
+def _align_all(
+    concepts: Sequence[Sequence[ClassSequence]],
+) -> list[tuple[ClassSequence, ...]]:
+    """The aligned rows of every concept in one batch, one row per word and
+    all-gap rows for the empty words; every concept has a word."""
+    present = [[k for k, seq in enumerate(seqs) if seq] for seqs in concepts]
+    words = [[seqs[k] for k in ks] for seqs, ks in zip(concepts, present)]
+    lengths = np.zeros((len(words), max(map(len, words))), dtype=np.int64)
+    n_words = np.array([len(ws) for ws in words])
+    lengths[np.arange(lengths.shape[1]) < n_words[:, None]] = [
+        len(w) for ws in words for w in ws
+    ]
+    # The words padded with code 0, in the smallest type that holds a code
+    # for every symbol. Scores depend only on which symbols are equal, so
+    # any numbering does.
+    code: dict[str, int] = {}
+    dtype = np.min_scalar_type(lengths.sum())
+    codes = np.zeros((*lengths.shape, lengths.max()), dtype=dtype)
+    codes[np.arange(codes.shape[2]) < lengths[:, :, None]] = [
+        code.setdefault(s, len(code) + 1) for ws in words for w in ws for s in w
+    ]
+    widths, columns = (a.tolist() for a in _align(codes, len(code) + 1))
+    out = []
+    for seqs, ks, width, at in zip(concepts, present, widths, columns):
+        rows = [(GAP,) * width] * len(seqs)
+        for w, k in enumerate(ks):
+            rows[k] = _place(seqs[k], at[w], width)
+        out.append(tuple(rows))
+    return out
 
 
 def progressive_align(
     seqs: Sequence[ClassSequence], concept: str = "?"
 ) -> ConceptAlignment:
-    """Align one concept's words across languages.
+    """Align one concept's words across languages, as a batch of one.
 
     ``seqs`` holds one encoded word per language, the empty tuple standing
     for a missing word; missing words come back as all-gap rows. Raises
     :class:`EmptyConceptError` when no language has a word.
     """
-    present = [i for i, s in enumerate(seqs) if s]
-    if not present:
+    if not any(seqs):
         raise EmptyConceptError(f"concept {concept!r} has no encodable word")
-
-    if len(present) == 1:
-        width = len(seqs[present[0]])
-        aligned = {present[0]: list(seqs[present[0]])}
-    else:
-        # Code 0 is GAP, which profile scores count as a gap.
-        code = {GAP: 0}
-        words = [
-            np.array([code.setdefault(c, len(code)) for c in seqs[p]]) for p in present
-        ]
-        symbol_scores = _symbol_scores(len(code))
-
-        profiles = {a: word[None, :] for a, word in enumerate(words)}
-        members: dict[int, list[int]] = {a: [p] for a, p in enumerate(present)}
-        for i, j in _average_linkage_order(_guide_distances(words)):
-            profiles[i] = _merge_profiles(profiles[i], profiles[j], symbol_scores)
-            members[i] = members[i] + members[j]
-            del profiles[j], members[j]
-        (root,) = profiles
-        width = profiles[root].shape[1]
-        decoded = np.array(list(code))[profiles[root]].tolist()
-        aligned = dict(zip(members[root], decoded))
-
-    rows = tuple(
-        tuple(aligned[i]) if i in aligned else (GAP,) * width
-        for i in range(len(seqs))
-    )
-    keep = [c for c in range(width) if any(row[c] != GAP for row in rows)]
-    if len(keep) != width:
-        rows = tuple(tuple(row[c] for c in keep) for row in rows)
-        width = len(keep)
-    return ConceptAlignment(concept=concept, rows=rows, width=width)
+    (rows,) = _align_all([seqs])
+    return ConceptAlignment(concept=concept, rows=rows, width=len(rows[0]))
 
 
 def _cell_array(cells, taxa: tuple[str, ...]) -> np.ndarray:
@@ -462,7 +546,8 @@ def build_character_matrix(wl: Wordlist) -> CharacterMatrix:
 
     Every (language, concept) slot must hold at most one entry. Concepts
     with no encodable word are skipped with a warning; having fewer than two
-    languages with any data raises :class:`InsufficientDataError`.
+    languages with any data raises :class:`InsufficientDataError`. The
+    concepts are aligned in one batch.
     """
     slots = wl.entry_by_slot()
     if len(wl.languages) < 2:
@@ -471,9 +556,7 @@ def build_character_matrix(wl: Wordlist) -> CharacterMatrix:
     if len(populated) < 2:
         raise InsufficientDataError("need at least 2 languages with data")
 
-    columns: list[list[str]] = [[] for _ in wl.languages]
-    bounds = []
-    cursor = 0
+    kept, concepts = [], []
     for concept in wl.concepts:
         seqs = []
         for language in wl.languages:
@@ -482,12 +565,19 @@ def build_character_matrix(wl: Wordlist) -> CharacterMatrix:
         if not any(seqs):
             logger.warning("concept %r has no encodable word; skipped", concept)
             continue
-        alignment = progressive_align(seqs, concept)
-        for row, aligned in zip(columns, alignment.rows):
-            row.extend(aligned)
-        bounds.append((concept, cursor, cursor + alignment.width))
-        cursor += alignment.width
-
-    if cursor == 0:
+        kept.append(concept)
+        concepts.append(seqs)
+    if not kept:
         raise InsufficientDataError("no alignable concepts")
+    # The slot map is not needed while the concepts are aligned.
+    del slots
+
+    columns: list[list[str]] = [[] for _ in wl.languages]
+    bounds = []
+    cursor = 0
+    for concept, rows in zip(kept, _align_all(concepts)):
+        for row, aligned in zip(columns, rows):
+            row.extend(aligned)
+        bounds.append((concept, cursor, cursor + len(rows[0])))
+        cursor += len(rows[0])
     return CharacterMatrix(taxa=wl.languages, cells=columns, concept_bounds=bounds)

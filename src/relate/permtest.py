@@ -24,15 +24,21 @@ fixed-pair null.
 
 Each language draws its shuffles from its own stream, keyed by the seed
 and the language's name (``np.random.SeedSequence(seed, spawn_key=...)``
-with the UTF-8 bytes of the name as the key). A language's shuffles
-therefore depend neither on the other languages of the wordlist nor on
-how replicates are chunked, so the pairwise table reads every row from
-the replicates of the merge tree, and each row equals the root of the
-wordlist cut to that pair at the same seed. This is draw stream
-``DRAW_STREAM``; earlier streams drew from positional children of the
-seed or from one generator, so p-values and ``s_hat`` for a given seed
-differ from theirs while everything computed on the observed arrangement
-is unchanged.
+with the UTF-8 bytes of the name as the key), and lays each shuffle over
+its attested concepts in concept-name order. A language's shuffles
+therefore depend neither on the other languages of the wordlist, nor on
+the row order of the source, nor on how replicates are chunked, so the
+pairwise table reads every row from the replicates of the merge tree,
+and each row equals the root of the wordlist cut to that pair at the
+same seed. Under P1_DOLGO and TURCHIN every result is then independent
+of the row order. EXTERNAL averages a language pair's shared concepts in
+order of first appearance, so its distances, and with them ``s_hat``
+and the p-values, can move in the last bit when the rows are reordered,
+unless the table's sums are exact. This is draw stream ``DRAW_STREAM``; earlier streams drew
+from positional children of the seed or from one generator, or laid the
+shuffles over the concepts in order of first appearance, so p-values and
+``s_hat`` for a given seed differ from theirs while everything computed
+on the observed arrangement is unchanged.
 """
 
 from __future__ import annotations
@@ -67,8 +73,9 @@ RELATED = "RELATED"
 NOT_SUPPORTED = "NOT_SUPPORTED"
 
 #: Version of the permutation draw stream, recorded in report manifests:
-#: 3 draws each language from a stream keyed by the seed and its name.
-DRAW_STREAM = 3
+#: 4 draws each language from a stream keyed by the seed and its name and
+#: shuffles its words over its attested concepts in concept-name order.
+DRAW_STREAM = 4
 
 
 @dataclass(frozen=True)
@@ -183,16 +190,22 @@ class _Engine:
         self.first: dict[str, np.ndarray] = {}
         self.second: dict[str, np.ndarray] = {}
         class_index = {c: i for i, c in enumerate(wl.alphabet.classes)}
+        # Words are numbered, and shuffled over the attested slots, in
+        # concept-name order, so the draws do not depend on the row order
+        # of the source.
+        by_name = sorted(range(len(wl.concepts)), key=wl.concepts.__getitem__)
         for language in wl.languages:
             pointers = np.full(len(wl.concepts), _NO_WORD, dtype=np.int64)
+            attested: list[int] = []
             forms: list[str] = []
             firsts: list[int] = []
             seconds: list[int] = []
-            for c, concept in enumerate(wl.concepts):
-                entry = slots.get((language, concept))
+            for c in by_name:
+                entry = slots.get((language, wl.concepts[c]))
                 if entry is None:
                     continue
                 pointers[c] = len(forms)
+                attested.append(c)
                 forms.append(entry.form)
                 if metric.name != EXTERNAL:
                     seq = wl.classes(entry)
@@ -201,7 +214,7 @@ class _Engine:
                         class_index[seq[1]] if len(seq) > 1 else _NO_SECOND
                     )
             self.observed[language] = pointers[np.newaxis]
-            self.attested[language] = np.flatnonzero(pointers != _NO_WORD)
+            self.attested[language] = np.array(attested, dtype=np.int64)
             self.forms[language] = forms
             self.first[language] = np.asarray(firsts, dtype=np.int64)
             self.second[language] = np.asarray(seconds, dtype=np.int64)
@@ -273,8 +286,9 @@ class _Engine:
         per replicate, drawn by one ``permuted`` call per language; that
         draws the stream of shuffling the rows one after another, so a
         language's draws do not depend on how replicates are chunked. A
-        language's pointers over its attested slots are ``0..m-1``, so
-        shuffling a fresh ``0..m-1`` shuffles the pointers.
+        language's pointers over its attested slots, taken in concept-name
+        order, are ``0..m-1``, so shuffling a fresh ``0..m-1`` shuffles the
+        pointers.
         """
         out = {}
         for language, rng in streams.items():

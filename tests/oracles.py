@@ -606,11 +606,13 @@ def reference_streams(languages, seed):
 
 def reference_shuffle(slots, streams):
     """One replicate: each language's words permuted across its attested
-    slots by its own generator."""
+    slots by its own generator, the slots taken in the order of the words
+    they hold (concept-name order when the words are numbered so)."""
     out = {}
     for language, rng in streams.items():
         pointers = slots[language].copy()
         attested = np.nonzero(pointers >= 0)[0]
+        attested = attested[np.argsort(pointers[attested])]
         pointers[attested] = rng.permutation(pointers[attested])
         out[language] = pointers
     return out

@@ -122,7 +122,7 @@ class TestPermtestCommand:
         assert "created_utc" not in lines[0]
         # Both manifests name the permutation draw stream; it is no option.
         slim = json.loads(lines[0].removeprefix("# manifest: "))
-        assert payload["manifest"]["draw_stream"] == slim["draw_stream"] == DRAW_STREAM == 3
+        assert payload["manifest"]["draw_stream"] == slim["draw_stream"] == DRAW_STREAM == 4
         assert "draw_stream" not in slim["config"]
         assert lines[1] == "LANG_A\tLANG_B\tDIST\tS_HAT\tP"
         assert len(lines) == 2 + 6

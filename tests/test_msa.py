@@ -2,6 +2,9 @@
 
 import hashlib
 import itertools
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +24,9 @@ from relate.msa import (
     progressive_align,
 )
 
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
+
 # The oracles' (match, mismatch, gap_open, gap_extend): one gap score.
 SCORES = (msa.MATCH, msa.MISMATCH, msa.GAP_SCORE, msa.GAP_SCORE)
 
@@ -28,10 +34,16 @@ SHORT_WORDS = [tuple(p) for n in range(4)
                for p in itertools.product("KRS", repeat=n)]
 
 
-def _codes(words):
+def _all_pair_scores(words):
+    """``msa._pair_scores`` of every word pair (a, b), a < b, in
+    ``itertools.combinations`` order, all in one batch."""
     index = {}
-    return [np.array([index.setdefault(c, len(index)) for c in w], dtype=int)
-            for w in words]
+    lengths = np.array([len(w) for w in words])
+    codes = np.zeros((max(lengths), len(words)), dtype=int)
+    for k, w in enumerate(words):
+        codes[: len(w), k] = [index.setdefault(c, len(index) + 1) for c in w]
+    ia, ib = np.triu_indices(len(words), 1)
+    return msa._pair_scores(codes[:, ia], codes[:, ib], lengths[ia], lengths[ib])
 
 
 class TestPairwiseAlign:
@@ -74,7 +86,7 @@ class TestPairwiseAlign:
         # Every pair of the short-word set (the empty word included) in one
         # batch, in both orientations; the scores are dyadic, so exact.
         words = SHORT_WORDS[::-1] if reverse else SHORT_WORDS
-        scores = msa._pair_scores(_codes(words))
+        scores = _all_pair_scores(words)
         pairs = list(itertools.combinations(words, 2))
         assert len(scores) == len(pairs)
         for (a, b), score in zip(pairs, scores):
@@ -87,7 +99,7 @@ class TestPairwiseAlign:
         words = [tuple(rng.choice(list("PTKSRNM"), size=n))
                  for n in rng.integers(1, 9, size=14)]
         words.append(("K",) * 15)
-        scores = msa._pair_scores(_codes(words))
+        scores = _all_pair_scores(words)
         for (a, b), score in zip(itertools.combinations(words, 2), scores):
             assert score == pairwise_align(a, b)[2]
 
@@ -184,8 +196,35 @@ def _reference_alignment(seqs, concept="?"):
     return ConceptAlignment(concept=concept, rows=rows, width=len(rows[0]))
 
 
+def _concept_seqs(wl):
+    """(concept, encoded words) of every concept, one word per language and
+    the empty tuple where a language has none."""
+    slots = wl.entry_by_slot()
+    return [
+        (concept, [wl.classes(slots[language, concept]) if (language, concept) in slots
+                   else () for language in wl.languages])
+        for concept in wl.concepts
+    ]
+
+
+def _concatenated(wl, align):
+    """The character matrix of ``wl`` built one concept at a time with
+    ``align(seqs, concept)``, skipping concepts without a word."""
+    columns = [[] for _ in wl.languages]
+    bounds = []
+    for concept, seqs in _concept_seqs(wl):
+        if not any(seqs):
+            continue
+        alignment = align(seqs, concept)
+        for row, aligned in zip(columns, alignment.rows):
+            row.extend(aligned)
+        start = bounds[-1][2] if bounds else 0
+        bounds.append((concept, start, start + alignment.width))
+    return CharacterMatrix(wl.languages, columns, bounds)
+
+
 class TestMatchesOneAtATimeReference:
-    """Batched guide-tree scores, array linkage and tabled column scores
+    """Batched guide-tree scores, stacked linkage and batched profile merges
     reproduce the pair-by-pair, cell-by-cell alignment exactly."""
 
     @pytest.mark.parametrize("seed", range(4))
@@ -198,7 +237,7 @@ class TestMatchesOneAtATimeReference:
             assert got == _reference_alignment(seqs, "c"), seqs
 
     @pytest.mark.parametrize("seed", range(3, 11))
-    def test_build_character_matrix(self, seed, monkeypatch):
+    def test_build_character_matrix(self, seed):
         rng = np.random.default_rng(seed)
         rows = helpers.related_wordlist_rows(7, 25, seed, mutation=0.5)
         # Missing slots, one-class words, a long word and shared forms.
@@ -208,29 +247,119 @@ class TestMatchesOneAtATimeReference:
                  ("L01", "long", "ta"), ("L02", "long", "kan")]
         wl = parse_wordlist(wordlist_text(rows))
         got = build_character_matrix(wl)
-        monkeypatch.setattr(msa, "progressive_align", _reference_alignment)
-        want = build_character_matrix(wl)
+        want = _concatenated(wl, _reference_alignment)
         assert got == want
         assert got.to_alignment_text() == want.to_alignment_text()
+
+
+class TestBatchIndependence:
+    """Every concept of a wordlist aligns in one batch exactly as it aligns
+    alone, whatever else the batch holds."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_each_concept_equals_progressive_align_alone(self, seed, caplog):
+        rng = np.random.default_rng(seed)
+        # 17 to 24 present words per concept, the range of the benchmark's
+        # wordlists, beside a one-word concept, a 12-class word among
+        # 2-class words and a concept without an encodable word.
+        present = {f"c{j:03d}": rng.choice(24, size=int(rng.integers(17, 25)), replace=False)
+                   for j in range(10)}
+        rows = [r for r in helpers.related_wordlist_rows(24, 10, seed, mutation=0.5)
+                if int(r[0][1:]) in present[r[1]]]
+        rows += [("L05", "one", "kan"), ("L00", "long", "takasanamaparatakasanama")]
+        rows += [(f"L{i:02d}", "long", "kan" if i % 2 else "tama") for i in range(1, 9)]
+        rows += [("L03", "vowels", "aiea"), ("L04", "vowels", "oi")]
+        wl = parse_wordlist(wordlist_text(rows))
+        seqs = dict(_concept_seqs(wl))
+        assert sum(map(bool, seqs["one"])) == 1
+        assert sorted({len(s) for s in seqs["long"]}) == [0, 2, 12]
+        assert {sum(map(bool, seqs[c])) for c in present} <= set(range(17, 25))
+
+        with caplog.at_level("WARNING"):
+            matrix = build_character_matrix(wl)
+        assert any("'vowels'" in r.getMessage() for r in caplog.records)
+        assert "vowels" not in [c for c, _, _ in matrix.concept_bounds]
+        assert matrix == _concatenated(wl, progressive_align)
+
+
+# sha256 of to_alignment_text() of the matrices of the matrix-build
+# benchmark, seed 1, inputs 0-3.
+BENCHMARK_MATRICES = {
+    0: "d88e930b0adb4bc9cc848ae1574f81d0e83812cb14aec5cb3de28cb2d23404ec",
+    1: "3d39a2ebd9bd487ff66b35a3d2cae43cd7ca3c5d9ad625b44aa02fc6665e76d6",
+    2: "6285e645a0ac7ddafb60ba88ca09c93ef60b6a2b3a608a151eb2c3bfdc6dfe8a",
+    3: "0155b30d93e33bc74b17e1e894565e869e33bd64e08467d8d82466bc9299f105",
+}
+
+
+@pytest.mark.parametrize("index", sorted(BENCHMARK_MATRICES))
+def test_benchmark_matrix_is_byte_identical(index):
+    inp = workloads.matrix_input(workloads.input_seed(1, index))
+    _, matrix = workloads.matrix_operation(inp)
+    text = matrix.to_alignment_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == BENCHMARK_MATRICES[index]
+
+
+def _counts(rows, n_codes):
+    """Column counts (columns, codes) of an integer-coded profile whose
+    rows are words, code 0 = gap."""
+    return (rows[:, :, None] == np.arange(n_codes)).sum(axis=0).astype(float)
+
+
+def _stacked(profiles):
+    """Column counts of profiles as one zero-padded batch, and their widths."""
+    widths = np.array([len(p) for p in profiles])
+    out = np.zeros((len(profiles), widths.max(), profiles[0].shape[1]))
+    for k, p in enumerate(profiles):
+        out[k, : len(p)] = p
+    return out, widths
+
+
+def _merge_pairs(cases, n_codes):
+    """(aligned column pairs, None for a gap; score) of every (rows_a,
+    rows_b) case, all merged in one batch."""
+    counts_a, n_a = _stacked([_counts(a, n_codes) for a, _ in cases])
+    counts_b, n_b = _stacked([_counts(b, n_codes) for _, b in cases])
+    columns, widths, scores = msa._merge(counts_a, counts_b, n_a, n_b)
+    out = []
+    for k in range(len(cases)):
+        pairs = [[None, None] for _ in range(widths[k])]
+        for side, n in enumerate((n_a[k], n_b[k])):
+            for c in range(n):
+                pairs[columns[side, k, c]][side] = c
+        out.append(([tuple(p) for p in pairs], float(scores[k])))
+    return out
+
+
+def _gappy_profile(rng, n_codes):
+    # Gap-heavy profiles over few symbols: many near-ties.
+    shape = rng.integers(1, 8), rng.integers(1, 9)
+    return rng.integers(1, n_codes, size=shape) * (rng.random(shape) > 0.4)
 
 
 @pytest.mark.parametrize("seed", [21, 22, 23, 24])
 def test_column_scores_match_reference_bit_for_bit(seed):
     rng = np.random.default_rng(seed)
     symbols = "-PTKSRN"
-    table = msa._symbol_scores(len(symbols))
+    cases = []
     for r_a, r_b in [(1, 1), (3, 5), (7, 4), (12, 11)]:
         # Gap-heavy profiles: code 0 is the gap.
         rows_a = rng.integers(0, len(symbols), size=(r_a, 6)) * (rng.random((r_a, 6)) > 0.3)
         rows_b = rng.integers(0, len(symbols), size=(r_b, 5)) * (rng.random((r_b, 5)) > 0.3)
-        got = msa._column_scores(rows_a, rows_b, table)
+        cases.append((rows_a, rows_b))
+    counts_a = [_counts(a, len(symbols)) for a, _ in cases]
+    counts_b = [_counts(b, len(symbols)) for _, b in cases]
+    batched = msa._column_scores(np.stack(counts_a), np.stack(counts_b))
+    for k, (rows_a, rows_b) in enumerate(cases):
+        alone = msa._column_scores(counts_a[k][None], counts_b[k][None])[0]
         for i in range(6):
             for j in range(5):
                 want = oracles.reference_column_score(
                     [symbols[c] for c in rows_a[:, i]],
                     [symbols[c] for c in rows_b[:, j]],
                     msa.MATCH, msa.MISMATCH, msa.GAP_SCORE)
-                assert got[i, j] == want
+                assert alone[i, j] == want
+                assert batched[k, i, j] == want
 
 
 # sha256 of to_alignment_text() as the three-state (Gotoh) program built it.
@@ -255,34 +384,35 @@ def test_matrix_is_byte_identical_to_three_state_program(seed):
 class TestTieRule:
     """The one-value traceback breaks ties as the three-state program does:
     a gap state's predecessor is chosen among the states plus the gap
-    score, whose rounding can tie values that differ."""
+    score, whose rounding can tie values that differ. Every case runs as a
+    batch of one and inside a batch of many."""
 
     def test_gap_move_compares_states_plus_gap_score(self):
         rows_a = np.array([[2, 1, 1, 0, 2, 2, 2]])
         rows_b = np.array([[1], [1], [2], [0], [0], [1], [1]])
-        merged = msa._merge_profiles(rows_a, rows_b, msa._symbol_scores(3))
         # B's one column pairs with A's column 2, not column 1.
-        assert np.array_equal(merged[0], rows_a[0])
-        assert np.array_equal(merged[1:, 2], rows_b[:, 0])
-        assert not merged[1:, [0, 1, 3, 4, 5, 6]].any()
+        want = [(0, None), (1, None), (2, 0), (3, None), (4, None), (5, None), (6, None)]
+        assert _merge_pairs([(rows_a, rows_b)], 3)[0][0] == want
+        rng = np.random.default_rng(5)
+        others = [(_gappy_profile(rng, 3), _gappy_profile(rng, 3)) for _ in range(9)]
+        assert _merge_pairs(others[:4] + [(rows_a, rows_b)] + others[4:], 3)[4][0] == want
 
     @pytest.mark.parametrize("seed", range(4))
     def test_pairs_and_score_match_three_state_reference(self, seed):
         rng = np.random.default_rng(seed)
+        cases, wants = [], []
         for _ in range(1500):
-            # Gap-heavy profiles over few symbols: many near-ties.
             n_codes = int(rng.integers(2, 5))
-            shape_a = rng.integers(1, 8), rng.integers(1, 9)
-            shape_b = rng.integers(1, 8), rng.integers(1, 9)
-            rows_a = rng.integers(1, n_codes, size=shape_a) * (rng.random(shape_a) > 0.4)
-            rows_b = rng.integers(1, n_codes, size=shape_b) * (rng.random(shape_b) > 0.4)
+            rows_a, rows_b = _gappy_profile(rng, n_codes), _gappy_profile(rng, n_codes)
             table = msa._column_scores(
-                rows_a, rows_b, msa._symbol_scores(n_codes)).tolist()
-            n_a, n_b = shape_a[1], shape_b[1]
-            got = msa._gotoh(n_a, n_b, table)
+                _counts(rows_a, n_codes)[None], _counts(rows_b, n_codes)[None])[0]
             want = oracles._reference_gotoh(
-                n_a, n_b, lambda i, j: table[i][j], *SCORES)
-            assert got == want, (rows_a, rows_b)
+                rows_a.shape[1], rows_b.shape[1], lambda i, j: table[i, j], *SCORES)
+            assert _merge_pairs([(rows_a, rows_b)], n_codes) == [want], (rows_a, rows_b)
+            cases.append((rows_a, rows_b))
+            wants.append(want)
+        # Unused codes count zero and change no score.
+        assert _merge_pairs(cases, 4) == wants
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -292,7 +422,53 @@ def test_linkage_order_matches_reference_with_ties(seed):
     # Few distinct values, so many candidate pairs tie at every step.
     upper = np.triu(rng.integers(0, 3, size=(n, n)) / 4.0, 1)
     dist = upper + upper.T
-    assert msa._average_linkage_order(dist) == oracles.reference_linkage_order(dist)
+    np.fill_diagonal(dist, np.inf)
+    want = oracles.reference_linkage_order(dist)
+    order = msa._linkage_orders(dist[None].copy())[0]
+    assert [tuple(p) for p in order.tolist()] == want
+
+
+def test_stacked_linkage_orders_match_reference():
+    # Concepts of 1 to 11 words padded with inf into one stack; each
+    # concept's first k - 1 pairs are its own merge order.
+    rng = np.random.default_rng(9)
+    dists = []
+    for n in [1, 2, 11, 5, 3, 8, 11, 4]:
+        upper = np.triu(rng.integers(0, 3, size=(n, n)) / 4.0, 1)
+        dists.append(upper + upper.T)
+    stack = np.full((len(dists), 11, 11), np.inf)
+    for k, dist in enumerate(dists):
+        stack[k, : len(dist), : len(dist)] = dist
+        np.fill_diagonal(stack[k], np.inf)
+    orders = msa._linkage_orders(stack)
+    for k, dist in enumerate(dists):
+        got = [tuple(p) for p in orders[k, : len(dist) - 1].tolist()]
+        assert got == oracles.reference_linkage_order(dist)
+
+
+def test_concepts_that_are_done_keep_their_cluster_sizes():
+    # Beside a concept of 70 words, a one-word concept is done for 69
+    # steps. Doubling its cluster size at each of them would wrap the
+    # size to 0 and turn its inf distances into nan with a warning.
+    rng = np.random.default_rng(4)
+    upper = np.triu(rng.integers(0, 3, size=(70, 70)) / 4.0, 1)
+    dist = upper + upper.T
+    np.fill_diagonal(dist, np.inf)
+    stack = np.full((3, 70, 70), np.inf)
+    stack[0] = dist
+    stack[2, 0, 1] = stack[2, 1, 0] = 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        orders = msa._linkage_orders(stack)
+    assert [tuple(p) for p in orders[0].tolist()] == oracles.reference_linkage_order(dist)
+    assert tuple(orders[2, 0]) == (0, 1)
+
+    words = [tuple(rng.choice(list("KRSNM"), size=3)) for _ in range(70)]
+    concepts = [words, [("K",)] + [()] * 69, [("K", "S"), ("R",)] + [()] * 68]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = msa._align_all(concepts)
+    assert batch == [progressive_align(seqs).rows for seqs in concepts]
 
 
 @settings(deadline=None, max_examples=60)

@@ -1,5 +1,7 @@
 """Word metrics, language distances, and the permutation tests."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from relate.lexdata import Wordlist, parse_wordlist
 from relate.permtest import (
     EXTERNAL,
     NOT_SUPPORTED,
+    P1_DOLGO,
     RELATED,
     TURCHIN,
     WordMetric,
@@ -499,6 +502,8 @@ def oracle_inputs(metric, wl):
 
     Word tables come from the public word rule (agreements for TURCHIN,
     whose language distance is one minus their mean) or the external table.
+    Slots follow the wordlist's concept order; words are numbered in
+    concept-name order, the order a shuffle takes the slots in.
     """
     alphabet = default_alphabet()
     by_slot = wl.entries_by_slot()
@@ -506,7 +511,7 @@ def oracle_inputs(metric, wl):
     for language in wl.languages:
         pointers = np.full(len(wl.concepts), -1)
         entries = []
-        for c, concept in enumerate(wl.concepts):
+        for c, concept in sorted(enumerate(wl.concepts), key=lambda item: item[1]):
             found = by_slot.get((language, concept))
             if found:
                 pointers[c] = len(entries)
@@ -726,6 +731,45 @@ class TestPairRowIsTwoLanguageMergeTree:
         assert len(wider_rows) == len(rows) + len(wl.languages)
         for row in rows:
             assert wider_rows[row["LANG_A"], row["LANG_B"]] == row
+
+
+def dyadic_table(rows, seed):
+    """A symmetric external table over every word pair of two languages of
+    ``rows``, in eighths, so that any sum of its values is exact."""
+    rng = np.random.default_rng(seed)
+    forms = {}
+    for language, _, form in rows:
+        forms.setdefault(language, set()).add(form)
+    table = {}
+    for a, b in itertools.combinations(sorted(forms), 2):
+        for x in sorted(forms[a]):
+            for y in sorted(forms[b]):
+                table[a, x, b, y] = table[b, y, a, x] = int(rng.integers(0, 9)) / 8
+    return table
+
+
+class TestDrawsDoNotDependOnRowOrder:
+    @pytest.mark.parametrize("name", [P1_DOLGO, TURCHIN, EXTERNAL])
+    def test_shuffled_rows_give_the_same_results(self, name):
+        # Shuffled and then grouped by language, so the languages keep
+        # their order while the concepts first appear in another. EXTERNAL
+        # averages the shared concepts in the order they first appear, so
+        # only a table whose sums are exact in any order gives equal
+        # distances bit for bit.
+        rows = related_wordlist_rows(4, 30, seed=3, mutation=0.5)
+        metric = {P1_DOLGO: WordMetric.p1_dolgo(), TURCHIN: WordMetric.turchin(),
+                  EXTERNAL: WordMetric.external(dyadic_table(rows, seed=6))}[name]
+        shuffled = sorted((rows[k] for k in np.random.default_rng(5).permutation(len(rows))),
+                          key=lambda row: row[0])
+        wl, other = make_wordlist(*rows), make_wordlist(*shuffled)
+        assert other.languages == wl.languages
+        assert other.concepts != wl.concepts
+        assert sorted(other.concepts) == sorted(wl.concepts)
+        n_perm = _CHUNK + 5
+        assert (run_permtest(metric, other, n_perm=n_perm, seed=9).to_dict()
+                == run_permtest(metric, wl, n_perm=n_perm, seed=9).to_dict())
+        assert (pairwise_significance(metric, other, n_perm=n_perm, seed=9)
+                == pairwise_significance(metric, wl, n_perm=n_perm, seed=9))
 
 
 class TestMergeHeights:

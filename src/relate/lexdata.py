@@ -8,20 +8,12 @@ alignment stage sees one word per language per concept.
 
 from __future__ import annotations
 
-import csv
 import random
 from dataclasses import dataclass, field, replace
 from typing import IO
 
 from . import soundclass
-from .errors import (
-    EmptyInputError,
-    ParseError,
-    SchemaError,
-    UnknownSegmentError,
-    read_header,
-    read_text,
-)
+from .errors import EmptyInputError, ParseError, SchemaError, UnknownSegmentError, read_tsv
 
 #: Annotation flags recognized on entries. LOAN comes from the 0/1 LOAN
 #: column; the rest come from the free TAG column.
@@ -99,11 +91,13 @@ class Wordlist:
         object.__setattr__(self, "_classes", {})
 
     def classes(self, entry: LexEntry) -> soundclass.ClassSequence:
-        """``entry.encode(self.alphabet)``, computed once for this wordlist and
-        those :func:`filter_forms` and :func:`select_core_form` derive from it."""
-        seq = self._classes.get(entry)
+        """``entry.encode(self.alphabet)``, computed once per form and
+        segmentation for this wordlist and those :func:`filter_forms` and
+        :func:`select_core_form` derive from it."""
+        key = (entry.form, entry.segments)
+        seq = self._classes.get(key)
         if seq is None:
-            seq = self._classes[entry] = entry.encode(self.alphabet)
+            seq = self._classes[key] = entry.encode(self.alphabet)
         return seq
 
     def _derive(self, entries: list[LexEntry]) -> "Wordlist":
@@ -139,42 +133,23 @@ def parse_wordlist(source: IO | bytes | str, alphabet=None) -> Wordlist:
 
     LANGUAGE, CONCEPT and FORM columns are required; SEGMENTS (space
     separated), LOAN (0/1), TAG (comma separated flag names) and CORE_RANK
-    (non-negative integer) are honored when present. Fields are read
-    verbatim, quote characters included. Exact duplicate rows are dropped
-    silently. Raises :class:`SchemaError` for missing columns,
-    :class:`ParseError` (with a line number) for malformed rows, and
-    :class:`EmptyInputError` for an input with no data rows.
+    (non-negative integer) are honored when present; see
+    :func:`errors.read_tsv` for the format and its errors. Exact duplicate
+    rows are dropped silently. Raises :class:`ParseError` (with a line
+    number) for malformed rows and :class:`EmptyInputError` for an input
+    with no data rows.
     """
-    text = read_text(source, "wordlist")
-    lines = text.splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
-        raise EmptyInputError("wordlist is empty")
-
-    rows = list(csv.reader(lines, delimiter="\t", quoting=csv.QUOTE_NONE))
-    header = read_header(rows[0], "wordlist")
-    required = [LANGUAGE_COL, CONCEPT_COL, FORM_COL]
-    missing = [col for col in required if col not in header]
-    if missing:
-        raise SchemaError(f"wordlist lacks required columns {missing}; header is {header}")
-    col = {name: header.index(name) for name in header}
+    columns, rows = read_tsv(source, "wordlist", [LANGUAGE_COL, CONCEPT_COL, FORM_COL])
 
     def get(row: list[str], name: str) -> str:
-        idx = col.get(name)
-        return row[idx].strip() if idx is not None else ""
+        idx = columns.get(name)
+        return row[idx] if idx is not None else ""
 
     languages: dict[str, None] = {}
     concepts: dict[str, None] = {}
     entries: list[LexEntry] = []
     seen: set[LexEntry] = set()
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(header):
-            raise ParseError(
-                f"expected {len(header)} fields, found {len(row)}", line=lineno
-            )
+    for lineno, row in rows:
         language = get(row, LANGUAGE_COL)
         concept = get(row, CONCEPT_COL)
         form = get(row, FORM_COL)

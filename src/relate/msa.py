@@ -442,9 +442,6 @@ class CharacterMatrix:
     def gap_mask(self) -> np.ndarray:
         return self.cells == GAP
 
-    def row(self, taxon: str) -> np.ndarray:
-        return self.cells[self.taxa.index(taxon)]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CharacterMatrix):
             return NotImplemented

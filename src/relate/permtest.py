@@ -30,21 +30,17 @@ therefore depend neither on the other languages of the wordlist, nor on
 the row order of the source, nor on how replicates are chunked, so the
 pairwise table reads every row from the replicates of the merge tree,
 and each row equals the root of the wordlist cut to that pair at the
-same seed. Under P1_DOLGO and TURCHIN every result is then independent
-of the row order. EXTERNAL averages a language pair's shared concepts in
-order of first appearance, so its distances, and with them ``s_hat``
-and the p-values, can move in the last bit when the rows are reordered,
-unless the table's sums are exact. This is draw stream ``DRAW_STREAM``; earlier streams drew
-from positional children of the seed or from one generator, or laid the
-shuffles over the concepts in order of first appearance, so p-values and
-``s_hat`` for a given seed differ from theirs while everything computed
-on the observed arrangement is unchanged.
+same seed. A language distance adds its shared concepts in concept-name
+order too, so no result depends on the row order. This is draw stream
+``DRAW_STREAM``; earlier streams drew from positional children of the
+seed or from one generator, or laid the shuffles over the concepts in
+order of first appearance, so p-values and ``s_hat`` for a given seed
+differ from theirs while everything computed on the observed arrangement
+is unchanged.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import logging
 from dataclasses import dataclass
 from typing import IO, Mapping, NamedTuple
@@ -53,13 +49,11 @@ import numpy as np
 
 from .errors import (
     DistanceUndefinedError,
-    EmptyInputError,
     ExternalLookupError,
     InsufficientDataError,
     ParseError,
     SchemaError,
-    read_header,
-    read_text,
+    read_tsv,
 )
 from .lexdata import Wordlist
 
@@ -111,28 +105,17 @@ def load_external_table(source: IO | bytes | str) -> dict[tuple[str, str, str, s
 
     Columns LANG_A, WORD_A, LANG_B, WORD_B, DIST. Both orientations of each
     pair are stored so lookups need not worry about order. A pair may come
-    back in either orientation only with the same DIST. Fields are read
-    verbatim, quote characters included.
+    back in either orientation only with the same DIST. ``source`` is read
+    by :func:`errors.read_tsv`.
     """
-    text = read_text(source, "distance table")
-    if not text.strip():
-        raise EmptyInputError("distance table is empty")
-    reader = csv.reader(io.StringIO(text), delimiter="\t", quoting=csv.QUOTE_NONE)
-    header = read_header(next(reader), "distance table")
     required = ["LANG_A", "WORD_A", "LANG_B", "WORD_B", "DIST"]
-    if any(col not in header for col in required):
-        raise SchemaError(f"distance table needs columns {required}, got {header}")
-    idx = {col: header.index(col) for col in required}
+    columns, rows = read_tsv(source, "distance table", required)
+    idx = [columns[name] for name in required]
     table: dict[tuple[str, str, str, str], float] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(header):
-            raise ParseError(f"expected {len(header)} fields", line=lineno)
-        la, wa = row[idx["LANG_A"]].strip(), row[idx["WORD_A"]].strip()
-        lb, wb = row[idx["LANG_B"]].strip(), row[idx["WORD_B"]].strip()
+    for lineno, row in rows:
+        la, wa, lb, wb, raw_dist = (row[k] for k in idx)
         try:
-            dist = float(row[idx["DIST"]].strip())
+            dist = float(raw_dist)
         except ValueError:
             raise ParseError("DIST must be a number", line=lineno) from None
         if not 0.0 <= dist < float("inf"):
@@ -166,9 +149,10 @@ def _chunk_sizes(n_perm: int):
 class _Engine:
     """Per-wordlist caches that make permutation batches cheap.
 
-    Every language gets an integer array over concepts pointing into its
-    word list (``_NO_WORD`` marks empty slots); metric-specific arrays over
-    words make a pair distance a handful of vectorized comparisons.
+    Every language gets an integer array over concepts, in concept-name
+    order, pointing into its word list (``_NO_WORD`` marks empty slots);
+    metric-specific arrays over words make a pair distance a handful of
+    vectorized comparisons.
     Permutations shuffle the pointer arrays, never the caches. Slot arrays
     are stacked over replicates, shape (replicates, concepts), so one call
     draws or scores a whole chunk of replicates; ``observed`` holds the
@@ -181,7 +165,11 @@ class _Engine:
     def __init__(self, metric: WordMetric, wl: Wordlist):
         self.metric = metric
         self.languages = wl.languages
-        self.concepts = wl.concepts
+        # Concepts are laid out, and each language's words numbered and
+        # shuffled over its attested slots, in concept-name order, so that
+        # neither the draws nor the order in which a distance adds its
+        # shared concepts depends on the row order of the source.
+        self.concepts = sorted(wl.concepts)
         slots = wl.entry_by_slot()
 
         self.observed: dict[str, np.ndarray] = {}
@@ -190,18 +178,14 @@ class _Engine:
         self.first: dict[str, np.ndarray] = {}
         self.second: dict[str, np.ndarray] = {}
         class_index = {c: i for i, c in enumerate(wl.alphabet.classes)}
-        # Words are numbered, and shuffled over the attested slots, in
-        # concept-name order, so the draws do not depend on the row order
-        # of the source.
-        by_name = sorted(range(len(wl.concepts)), key=wl.concepts.__getitem__)
         for language in wl.languages:
-            pointers = np.full(len(wl.concepts), _NO_WORD, dtype=np.int64)
+            pointers = np.full(len(self.concepts), _NO_WORD, dtype=np.int64)
             attested: list[int] = []
             forms: list[str] = []
             firsts: list[int] = []
             seconds: list[int] = []
-            for c in by_name:
-                entry = slots.get((language, wl.concepts[c]))
+            for c, concept in enumerate(self.concepts):
+                entry = slots.get((language, concept))
                 if entry is None:
                     continue
                 pointers[c] = len(forms)
@@ -286,9 +270,8 @@ class _Engine:
         per replicate, drawn by one ``permuted`` call per language; that
         draws the stream of shuffling the rows one after another, so a
         language's draws do not depend on how replicates are chunked. A
-        language's pointers over its attested slots, taken in concept-name
-        order, are ``0..m-1``, so shuffling a fresh ``0..m-1`` shuffles the
-        pointers.
+        language's pointers over its attested slots are ``0..m-1``, so
+        shuffling a fresh ``0..m-1`` shuffles the pointers.
         """
         out = {}
         for language, rng in streams.items():

@@ -9,15 +9,14 @@ the alignment and distance code consumes.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
+import re
 import unicodedata
 from dataclasses import dataclass
 from importlib import resources
 from typing import IO, Iterable
 
-from .errors import EmptyInputError, SchemaError, UnknownSegmentError, read_header, read_text
+from .errors import SchemaError, UnknownSegmentError, read_tsv
 
 #: Marker for vowel segments; never appears in an encoded sequence.
 VOWEL = "V"
@@ -58,12 +57,13 @@ class ClassAlphabet:
                     f"segment {segment!r} maps to {symbol!r}, "
                     f"which is not a class or the vowel marker"
                 )
-        longest = max((len(s) for s in self.segment_map), default=1)
-        object.__setattr__(self, "_longest_segment", longest)
 
-    @property
-    def longest_segment(self) -> int:
-        return self._longest_segment
+    @functools.cached_property
+    def _tokens(self) -> re.Pattern:
+        """A token: the longest table segment that starts at a non-space
+        character, or that character alone when none does."""
+        segments = sorted(self.segment_map, key=len, reverse=True)
+        return re.compile(r"(?=\S)(?:" + "".join(re.escape(s) + "|" for s in segments) + r"\S)")
 
 
 def tokenize_form(form: str, alphabet: ClassAlphabet) -> list[str]:
@@ -75,25 +75,7 @@ def tokenize_form(form: str, alphabet: ClassAlphabet) -> list[str]:
     """
     if not form:
         raise ValueError("cannot tokenize an empty form")
-    text = unicodedata.normalize("NFC", form).lower()
-    table = alphabet.segment_map
-    limit = alphabet.longest_segment
-    segments = []
-    i = 0
-    while i < len(text):
-        if text[i].isspace():
-            i += 1
-            continue
-        for width in range(min(limit, len(text) - i), 0, -1):
-            candidate = text[i : i + width]
-            if candidate in table:
-                segments.append(candidate)
-                i += width
-                break
-        else:
-            segments.append(text[i])
-            i += 1
-    return segments
+    return alphabet._tokens.findall(unicodedata.normalize("NFC", form).lower())
 
 
 def encode_segments(
@@ -123,32 +105,17 @@ def encode_form(form: str, alphabet: ClassAlphabet) -> ClassSequence:
 def load_alphabet(source: IO | bytes | str) -> ClassAlphabet:
     """Read a segment table from TSV with columns SEGMENT and CLASS.
 
-    ``source`` may be a text or byte stream, raw bytes, or a string of TSV
-    content; fields are read verbatim, quote characters included. Class
-    symbols must be one of the ten consonant classes or the vowel marker
-    ``V``. Classes are ordered canonically when they are a subset of the
-    default ten, alphabetically otherwise.
+    ``source`` is read by :func:`errors.read_tsv`. Class symbols must be
+    one of the ten consonant classes or the vowel marker ``V``. Classes are
+    ordered canonically when they are a subset of the default ten,
+    alphabetically otherwise.
     """
-    text = read_text(source, "segment table")
-    if not text.strip():
-        raise EmptyInputError("segment table is empty")
-    reader = csv.reader(io.StringIO(text), delimiter="\t", quoting=csv.QUOTE_NONE)
-    header = read_header(next(reader), "segment table")
-    try:
-        seg_col = header.index("SEGMENT")
-        cls_col = header.index("CLASS")
-    except ValueError:
-        raise SchemaError(
-            f"segment table must have SEGMENT and CLASS columns, got {header}"
-        ) from None
+    columns, rows = read_tsv(source, "segment table", ["SEGMENT", "CLASS"])
+    seg_col, cls_col = columns["SEGMENT"], columns["CLASS"]
     mapping: dict[str, str] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(header):
-            raise SchemaError(f"segment table row {lineno} has {len(row)} fields")
-        segment = unicodedata.normalize("NFC", row[seg_col].strip()).lower()
-        symbol = row[cls_col].strip()
+    for lineno, row in rows:
+        segment = unicodedata.normalize("NFC", row[seg_col]).lower()
+        symbol = row[cls_col]
         if not segment or not symbol:
             raise SchemaError(f"segment table row {lineno} has an empty field")
         if symbol != VOWEL and symbol not in DOLGO_CLASSES:

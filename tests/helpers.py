@@ -116,8 +116,7 @@ def small_matrix(
 
 def leaf_symbol_map(tree, matrix) -> dict[int, list[str]]:
     """Bridge a Phylogeny + CharacterMatrix into oracle-friendly form."""
-    return {tree.leaf_node(name): list(matrix.row(name))
-            for name in matrix.taxa}
+    return {tree.leaf_node(name): list(row) for name, row in zip(matrix.taxa, matrix.cells)}
 
 
 def random_tree(

@@ -569,11 +569,12 @@ def upgma_merge_heights(dist: np.ndarray, names) -> list[tuple[frozenset, float]
 
 # -- permutation test, one replicate at a time --------------------------------
 #
-# ``slots`` maps each language to an integer array over concepts holding the
-# index of the word filling the slot (words numbered 0.. in concept order)
-# or -1 for an empty slot. ``tables[a, b][i, j]`` is the distance between
-# word i of a and word j of b; with ``complement`` the tables hold word
-# agreements instead and a language distance is one minus their mean.
+# ``slots`` maps each language to an integer array over concepts, in
+# concept-name order, holding the index of the word filling the slot (words
+# numbered 0.. in that order) or -1 for an empty slot. ``tables[a, b][i, j]``
+# is the distance between word i of a and word j of b; with ``complement``
+# the tables hold word agreements instead and a language distance is one
+# minus their mean.
 
 def word_distance(metric: str, a, b) -> float:
     """Distance of two encoded words under the named rule ``P1_DOLGO`` or
@@ -606,20 +607,19 @@ def reference_streams(languages, seed):
 
 def reference_shuffle(slots, streams):
     """One replicate: each language's words permuted across its attested
-    slots by its own generator, the slots taken in the order of the words
-    they hold (concept-name order when the words are numbered so)."""
+    slots, taken in concept order, by its own generator."""
     out = {}
     for language, rng in streams.items():
         pointers = slots[language].copy()
         attested = np.nonzero(pointers >= 0)[0]
-        attested = attested[np.argsort(pointers[attested])]
         pointers[attested] = rng.permutation(pointers[attested])
         out[language] = pointers
     return out
 
 
 def reference_language_distance(tables, a, b, slots, complement=False):
-    """Mean word distance of a and b over the concepts both attest."""
+    """Mean word distance of a and b over the concepts both attest, added
+    in concept order."""
     wa, wb = slots[a], slots[b]
     shared = (wa >= 0) & (wb >= 0)
     mean = tables[a, b][wa[shared], wb[shared]].mean()

@@ -257,6 +257,31 @@ class TestMappingOption:
         packaged = build_character_matrix(self.library_wordlist(wordlist_path))
         assert saved.read_text(encoding="utf-8") != packaged.to_alignment_text()
 
+    def test_mapping_with_cr_line_endings_runs(self, tmp_path, wordlist_path, mapping_path):
+        cr_path = tmp_path / "merged-cr.tsv"
+        cr_path.write_bytes(MERGED_TABLE.replace("\n", "\r").encode("utf-8"))
+        results = []
+        for path in (mapping_path, str(cr_path)):
+            out = tmp_path / "p.json"
+            assert main(["permtest", "--wordlist", wordlist_path, "--mapping", path,
+                         "--n-perm", "20", "--out", str(out)]) == EXIT_OK
+            results.append(read_json(out)["result"])
+        assert results[0] == results[1]
+
+    def test_ragged_mapping_exits_1_without_traceback(self, tmp_path, wordlist_path):
+        ragged = tmp_path / "ragged.tsv"
+        ragged.write_bytes(b"SEGMENT\tCLASS\rk\tK\rt\r")
+        out = tmp_path / "p.json"
+        done = subprocess.run(
+            [sys.executable, "-m", "relate.cli", "permtest", "--wordlist", wordlist_path,
+             "--mapping", str(ragged), "--out", str(out)],
+            env=package_env(), capture_output=True, text=True)
+        assert done.returncode == EXIT_INPUT
+        assert done.stderr.startswith("error: ")
+        assert "(line 3)" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not out.exists()
+
 
 class TestMltreeCommand:
     def test_fit_from_wordlist(self, tmp_path, wordlist_path, capsys):

@@ -1,5 +1,9 @@
 """Wordlist ingestion, filtering, and core-form selection."""
 
+import hashlib
+import sys
+from pathlib import Path
+
 import pytest
 
 from helpers import related_wordlist_rows, wordlist_text
@@ -16,6 +20,9 @@ from relate.lexdata import (
 from relate.msa import build_character_matrix
 from relate.permtest import WordMetric, load_external_table, pairwise_significance, run_permtest
 from relate.soundclass import default_alphabet, encode_form, encode_segments, load_alphabet
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 
 class TestParseWordlist:
@@ -150,15 +157,83 @@ def test_quote_characters_are_part_of_a_segment_table_field():
     assert alphabet.segment_map == {'"k': "K", "t": "T"}
 
 
-@pytest.mark.parametrize("reader, text", [
-    (parse_wordlist, "LANGUAGE\tCONCEPT\tFORM\nLatin\thorn\tcornu\n"),
-    (load_external_table, "LANG_A\tWORD_A\tLANG_B\tWORD_B\tDIST\nA\tka\tB\tko\t0.5\n"),
-    (load_alphabet, "SEGMENT\tCLASS\nk\tK\nt\tT\n"),
+#: Each TSV reader, a header and two data rows with the field "ka" on
+#: line 2, and what the reader made of that field.
+READERS = pytest.mark.parametrize("reader, text, field", [
+    (parse_wordlist, "LANGUAGE\tCONCEPT\tFORM\nLatin\tka\tcornu\nLatin\tfoot\tpes\n",
+     lambda wl: wl.concepts[0]),
+    (load_external_table,
+     "LANG_A\tWORD_A\tLANG_B\tWORD_B\tDIST\nA\tka\tB\tko\t0.5\nA\tpa\tB\tko\t0.25\n",
+     lambda table: next(iter(table))[1]),
+    (load_alphabet, "SEGMENT\tCLASS\nka\tT\nk\tK\n",
+     lambda alphabet: next(iter(alphabet.segment_map))),
 ], ids=["wordlist", "distance-table", "segment-table"])
+
+
+@READERS
 @pytest.mark.parametrize("as_bytes", [False, True], ids=["str", "bytes"])
-def test_leading_byte_order_mark_is_dropped(reader, text, as_bytes):
+def test_leading_byte_order_mark_is_dropped(reader, text, field, as_bytes):
     marked = "\ufeff" + text
     assert reader(marked.encode("utf-8") if as_bytes else marked) == reader(text)
+
+
+@READERS
+def test_lf_crlf_and_cr_line_endings_read_alike(reader, text, field):
+    gapped = text.replace("\n", "\n\n", 1)  # a blank row after the header
+    assert field(reader(text)) == "ka"
+    assert (reader(text) == reader(gapped.replace("\n", "\r\n"))
+            == reader(gapped.replace("\n", "\r")) == reader(text.replace("\n", "\r")))
+
+
+ENDINGS = pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+
+
+@READERS
+@ENDINGS
+def test_ragged_row_is_a_parse_error_with_its_line(reader, text, field, ending):
+    with pytest.raises(ParseError, match="row has 1 fields") as err:
+        reader((text + "x\n").replace("\n", ending))
+    assert err.value.line == 4
+
+
+@READERS
+@ENDINGS
+def test_oversized_field_is_a_parse_error_with_its_line(reader, text, field, ending):
+    with pytest.raises(ParseError, match="field larger than field limit") as err:
+        reader(text.replace("ka", "k" * 200_000).replace("\n", ending))
+    assert err.value.line == 2
+
+
+@READERS
+@pytest.mark.parametrize("separator", ["\u2028", "\f"], ids=["line-separator", "form-feed"])
+def test_unicode_line_breaks_stay_inside_their_field(reader, text, field, separator):
+    # Rows end at LF, CRLF and CR only.
+    assert field(reader(text.replace("ka", f"k{separator}a"))) == f"k{separator}a"
+
+
+# sha256 of the language, concept, form and classes ("!" for a form with an
+# unknown segment) of every entry of the wordlists of the matrix-build
+# benchmark, seed 1, inputs 0-3.
+CLASS_SEQUENCES = {
+    0: "f3b825927bae94e81057061cec54258192d51813788b6f0e33fd1f423fbdd699",
+    1: "1a78e4b50580d246bed329e1132c9ef805bae7e7ef5b1943dcda1541fb1359fd",
+    2: "81a16388b29a83fccc7969355fa4a91c22f298a7d04415af6b94a6ecdfea996e",
+    3: "ae07e1ce7e4ab8ba7dbfa507e29023a23089b6ecef5f4db0a13265e52767f041",
+}
+
+
+@pytest.mark.parametrize("index", sorted(CLASS_SEQUENCES))
+def test_class_sequences_of_the_benchmark_wordlists_are_pinned(index):
+    wl = parse_wordlist(workloads.matrix_input(workloads.input_seed(1, index)).tsv)
+
+    def classes(entry):
+        try:
+            return " ".join(wl.classes(entry))
+        except UnknownSegmentError:
+            return "!"
+
+    text = "\n".join(f"{e.language}\t{e.concept}\t{e.form}\t{classes(e)}" for e in wl.entries)
+    assert hashlib.sha256(text.encode()).hexdigest() == CLASS_SEQUENCES[index]
 
 
 def make_wordlist(*entries: LexEntry) -> Wordlist:
@@ -219,15 +294,18 @@ class TestWordlistClasses:
         )
         wl = parse_wordlist(text)
         policy = FilterPolicy()
-        checked = sum(
-            1 for e in wl.entries if "LOAN" not in e.flags and not e.flags & policy.drop_flags
-        )
+        checked = [
+            e for e in wl.entries if "LOAN" not in e.flags and not e.flags & policy.drop_flags
+        ]
+        assert len(checked) == len(wl.entries) - 2
         chosen = select_core_form(filter_forms(wl, policy), rng_seed=3)
-        assert len(chosen.entries) < checked
+        assert len(chosen.entries) < len(checked)
         build_character_matrix(chosen)
         run_permtest(WordMetric.p1_dolgo(), chosen, n_perm=5)
         pairwise_significance(WordMetric.turchin(), chosen, n_perm=5)
-        assert len(calls) == checked == len(wl.entries) - 2
+        # Related languages share forms, and a shared form is encoded once.
+        words = {(e.form, e.segments) for e in checked}
+        assert len(calls) == len(words) < len(checked)
 
 
 class TestFilterForms:

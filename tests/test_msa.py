@@ -515,7 +515,7 @@ class TestCharacterMatrix:
         ])
         wl = parse_wordlist(text)
         matrix = build_character_matrix(wl)
-        row = matrix.row("Latin")
+        row = matrix.cells[matrix.taxa.index("Latin")]
         for concept, start, end in matrix.concept_bounds:
             block = [s for s in row[start:end] if s != "-"]
             if concept == "horn":
@@ -533,7 +533,7 @@ class TestCharacterMatrix:
         matrix = build_character_matrix(parse_wordlist(text))
         concept, start, end = matrix.concept_bounds[1]
         assert concept == "name"
-        assert all(s == "-" for s in matrix.row("English")[start:end])
+        assert all(s == "-" for s in matrix.cells[matrix.taxa.index("English")][start:end])
 
     def test_fewer_than_two_populated_languages_rejected(self):
         text = wordlist_text([("Latin", "horn", "kornu")])

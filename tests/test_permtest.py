@@ -502,8 +502,7 @@ def oracle_inputs(metric, wl):
 
     Word tables come from the public word rule (agreements for TURCHIN,
     whose language distance is one minus their mean) or the external table.
-    Slots follow the wordlist's concept order; words are numbered in
-    concept-name order, the order a shuffle takes the slots in.
+    Slots follow concept-name order, and words are numbered in it.
     """
     alphabet = default_alphabet()
     by_slot = wl.entries_by_slot()
@@ -511,7 +510,7 @@ def oracle_inputs(metric, wl):
     for language in wl.languages:
         pointers = np.full(len(wl.concepts), -1)
         entries = []
-        for c, concept in sorted(enumerate(wl.concepts), key=lambda item: item[1]):
+        for c, concept in enumerate(sorted(wl.concepts)):
             found = by_slot.get((language, concept))
             if found:
                 pointers[c] = len(entries)
@@ -733,9 +732,9 @@ class TestPairRowIsTwoLanguageMergeTree:
             assert wider_rows[row["LANG_A"], row["LANG_B"]] == row
 
 
-def dyadic_table(rows, seed):
-    """A symmetric external table over every word pair of two languages of
-    ``rows``, in eighths, so that any sum of its values is exact."""
+def random_table(rows, seed):
+    """A symmetric external table of uniform random values over every word
+    pair of two languages of ``rows``."""
     rng = np.random.default_rng(seed)
     forms = {}
     for language, _, form in rows:
@@ -744,7 +743,7 @@ def dyadic_table(rows, seed):
     for a, b in itertools.combinations(sorted(forms), 2):
         for x in sorted(forms[a]):
             for y in sorted(forms[b]):
-                table[a, x, b, y] = table[b, y, a, x] = int(rng.integers(0, 9)) / 8
+                table[a, x, b, y] = table[b, y, a, x] = float(rng.random())
     return table
 
 
@@ -752,13 +751,12 @@ class TestDrawsDoNotDependOnRowOrder:
     @pytest.mark.parametrize("name", [P1_DOLGO, TURCHIN, EXTERNAL])
     def test_shuffled_rows_give_the_same_results(self, name):
         # Shuffled and then grouped by language, so the languages keep
-        # their order while the concepts first appear in another. EXTERNAL
-        # averages the shared concepts in the order they first appear, so
-        # only a table whose sums are exact in any order gives equal
-        # distances bit for bit.
+        # their order while the concepts first appear in another. The
+        # EXTERNAL table's random values make any sum whose order follows
+        # the rows show in the last bit.
         rows = related_wordlist_rows(4, 30, seed=3, mutation=0.5)
         metric = {P1_DOLGO: WordMetric.p1_dolgo(), TURCHIN: WordMetric.turchin(),
-                  EXTERNAL: WordMetric.external(dyadic_table(rows, seed=6))}[name]
+                  EXTERNAL: WordMetric.external(random_table(rows, seed=6))}[name]
         shuffled = sorted((rows[k] for k in np.random.default_rng(5).permutation(len(rows))),
                           key=lambda row: row[0])
         wl, other = make_wordlist(*rows), make_wordlist(*shuffled)

@@ -1,6 +1,7 @@
 """Tokenization and consonant-class encoding."""
 
 import io
+import unicodedata
 
 import pytest
 from hypothesis import given, strategies as st
@@ -38,6 +39,55 @@ class TestTokenize:
 
     def test_case_folded_before_matching(self):
         assert tokenize_form("KeRas", ALPHABET) == ["k", "e", "r", "a", "s"]
+
+
+#: Shared prefixes, a regex metacharacter, a segment with inner whitespace
+#: and one that no token can match, as it starts with whitespace.
+HAND_TABLE = ClassAlphabet(classes=("T", "S", "K"), segment_map={
+    "t": "T", "ts": "S", "tsh": "S", "k": "K", "k+": "K", "k s": "K", " s": "S", "s": "S",
+    "a": VOWEL})
+
+TABLES = pytest.mark.parametrize("alphabet", [ALPHABET, HAND_TABLE], ids=["packaged", "hand-built"])
+
+
+def assert_greedy_longest_match(form, alphabet):
+    """Walk the normalized form: each token starts at a non-space character
+    and is the longest table segment that starts there, or that character
+    when none does; only whitespace lies between and after the tokens."""
+    text = unicodedata.normalize("NFC", form).lower()
+    i = 0
+    for token in tokenize_form(form, alphabet):
+        while i < len(text) and text[i].isspace():
+            i += 1
+        assert text.startswith(token, i)
+        starting = [s for s in alphabet.segment_map if text.startswith(s, i)]
+        assert token == max(starting, key=len, default=text[i])
+        i += len(token)
+    assert not text[i:].strip()
+
+
+def forms(alphabet):
+    """Joined table segments, whitespace and characters outside the table,
+    or any text at all."""
+    pieces = sorted(alphabet.segment_map) + [" ", "  ", "\t", "\u00a0", "+", "#", "S", "ǆ", "ĉ"]
+    return st.one_of(st.lists(st.sampled_from(pieces), min_size=1).map("".join),
+                     st.text(min_size=1))
+
+
+@TABLES
+@given(data=st.data())
+def test_tokens_are_greedy_longest_matches(alphabet, data):
+    assert_greedy_longest_match(data.draw(forms(alphabet)), alphabet)
+
+
+@TABLES
+@pytest.mark.parametrize("form", ["k s", " ka", "ka  ta ", "ǆa", "ŝ ĉ", "tshtsk+k s", "kk+"])
+def test_edge_forms_are_greedy_longest_matches(alphabet, form):
+    assert_greedy_longest_match(form, alphabet)
+
+
+def test_segments_are_matched_literally_and_across_inner_whitespace():
+    assert tokenize_form("kk+ k s tsht s", HAND_TABLE) == ["k", "k+", "k s", "tsh", "t", "s"]
 
 
 class TestEncode:
